@@ -89,8 +89,7 @@ module Flags = struct
   let precond =
     let doc =
       "Preconditioning policy for the iterative solvers: $(b,auto) \
-       (Jacobi in sparse mode, none in dense), $(b,jacobi), $(b,block) \
-       or $(b,none)."
+       (Jacobi in sparse mode, none in dense), $(b,jacobi) or $(b,none)."
     in
     Arg.(
       value
@@ -99,7 +98,6 @@ module Flags = struct
              [
                ("auto", Core.Workspace.Precond_auto);
                ("jacobi", Core.Workspace.Precond_jacobi);
-               ("block", Core.Workspace.Precond_block);
                ("none", Core.Workspace.Precond_none);
              ])
           Core.Workspace.Precond_auto

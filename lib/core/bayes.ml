@@ -43,13 +43,11 @@ let estimate ?x0 ?(stop = Stop.default) ?(precond = Workspace.Precond_none) ws
   in
   (* Curvature is H = 2G + 2wI, so the exact diagonal metric is
      d_i = 2g_i + 2w — strictly positive for any w > 0, no zero guard
-     needed.  Block degrades to Jacobi: the projection (clamp) is
-     separable only under a diagonal metric. *)
+     needed. *)
   let dinv =
     match Workspace.resolve_precond ws precond with
     | Workspace.Precond_none -> None
-    | Workspace.Precond_jacobi | Workspace.Precond_block
-    | Workspace.Precond_auto ->
+    | Workspace.Precond_jacobi | Workspace.Precond_auto ->
         Some
           (Workspace.precond_vec ws
              ~key:(Printf.sprintf "bayes.jacobi.dinv:%h" w)

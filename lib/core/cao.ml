@@ -119,8 +119,7 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
       let dinv =
         match Workspace.resolve_precond ws precond with
         | Workspace.Precond_none -> None
-        | Workspace.Precond_jacobi | Workspace.Precond_block
-        | Workspace.Precond_auto ->
+        | Workspace.Precond_jacobi | Workspace.Precond_auto ->
             Some
               (Workspace.precond_vec ws ~key:"normal.jacobi.dinv"
                  ~compute:(fun () ->

@@ -112,12 +112,9 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
   let dinv =
     match Workspace.resolve_precond ws precond with
     | Workspace.Precond_none -> None
-    | Workspace.Precond_jacobi | Workspace.Precond_block
-    | Workspace.Precond_auto ->
+    | Workspace.Precond_jacobi | Workspace.Precond_auto ->
         (* Exact curvature diagonal: diag(2H)_j = 2(g_j + w2 g2_j +
-           w3 g3_j) with g{,2,3} the column square norms of R^(1,2,3).
-           Block degrades to Jacobi — the non-negativity clamp needs a
-           diagonal metric. *)
+           w3 g3_j) with g{,2,3} the column square norms of R^(1,2,3). *)
         Some
           (Workspace.precond_vec ws
              ~key:(Printf.sprintf "cumulant.jacobi.dinv:%h:%h" w2 w3)

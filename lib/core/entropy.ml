@@ -60,7 +60,7 @@ let solve ?x0 ?(stop = Stop.default) ?(precond = Workspace.Precond_none) ws
   let dinv =
     match precond with
     | Workspace.Precond_none | Workspace.Precond_auto -> None
-    | Workspace.Precond_jacobi | Workspace.Precond_block ->
+    | Workspace.Precond_jacobi ->
         Some
           (Workspace.precond_vec ws ~key:"normal.jacobi.dinv"
              ~compute:(fun () ->

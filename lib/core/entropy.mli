@@ -25,9 +25,8 @@ type result = {
     [precond] (default {!Workspace.Precond_none}) selects diagonal
     preconditioning in the exact curvature metric [diag(2·diag(RᵀR))];
     the KL prox is applied in the same metric so the fixed point is
-    unchanged, only the iteration count.  [Precond_block] degrades to
-    Jacobi here (the prox needs a diagonal metric); [Precond_auto]
-    resolves to none for this method (the diagonal metric measured
+    unchanged, only the iteration count.  [Precond_auto] resolves to
+    none for this method (the diagonal metric measured
     slower on the KL geometry — request Jacobi explicitly to use it).
     @raise Invalid_argument on dimension mismatch or [sigma2 <= 0]. *)
 val estimate :

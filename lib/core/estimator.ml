@@ -92,12 +92,7 @@ module Options = struct
       ?(precond = Workspace.Precond_auto) () =
     { warm; warm_tag; x0; sink; degrade; precond }
 
-  let with_warm warm t = { t with warm }
   let with_warm_tag tag t = { t with warm_tag = Some tag }
-  let with_x0 x0 t = { t with x0 = Some x0 }
-  let with_sink sink t = { t with sink }
-  let with_degrade policy t = { t with degrade = Some policy }
-  let with_precond precond t = { t with precond }
 end
 
 let prior kind ws ~loads =
@@ -147,7 +142,7 @@ let warm_key = function
       Some (Printf.sprintf "cumulant:w2=%h:w3=%h:window=%d" w2 w3 window)
 
 let solve ?(opts = Options.default) t ws ~loads ~load_samples =
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.now_ns () in
   (* Allocation accounting for the peak-words counter: the delta of the
      calling domain's cumulative allocation (minor + major, in words)
      over the whole solve.  At scale this is the witness that no code
@@ -287,6 +282,6 @@ let solve ?(opts = Options.default) t ws ~loads ~load_samples =
     else run ()
   in
   Workspace.record_solve ws
-    ~seconds:(Sys.time () -. t0)
+    ~seconds:(Obs.Clock.seconds_since t0)
     ~words:((Gc.allocated_bytes () -. w0) /. 8.);
   estimate

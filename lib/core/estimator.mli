@@ -60,8 +60,8 @@ val supports_sparse : t -> bool
 
 (** Per-run options for {!solve}.
 
-    The record is private: construct it with {!make} and refine it with
-    the [with_*] builders, so every construction site stays valid when a
+    The record is private: construct it with {!make} (and re-tag it with
+    {!with_warm_tag}), so every construction site stays valid when a
     field is added.  Fields remain readable everywhere. *)
 module Options : sig
   type t = private {
@@ -118,12 +118,8 @@ module Options : sig
     unit ->
     t
 
-  val with_warm : bool -> t -> t
+  (** [with_warm_tag tag t] is [t] with [warm_tag = Some tag]. *)
   val with_warm_tag : string -> t -> t
-  val with_x0 : Tmest_linalg.Vec.t -> t -> t
-  val with_sink : Tmest_obs.Obs.sink -> t -> t
-  val with_degrade : Degrade.policy -> t -> t
-  val with_precond : Workspace.precond_kind -> t -> t
 end
 
 (** [prior kind ws ~loads] materializes a prior vector through the

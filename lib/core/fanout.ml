@@ -140,7 +140,7 @@ let estimate ?x0 ?(stop = Stop.default) ?(precond = Workspace.Precond_none) ws
   let dinv, lipschitz =
     match precond with
     | Workspace.Precond_none | Workspace.Precond_auto -> (None, lipschitz)
-    | Workspace.Precond_jacobi | Workspace.Precond_block ->
+    | Workspace.Precond_jacobi ->
         let wdiag = Vec.zeros n in
         for step = 0 to k - 1 do
           for node = 0 to n - 1 do

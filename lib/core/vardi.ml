@@ -55,13 +55,11 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
      normal_op + w · gram_sq_op, never touching a p x p matrix. *)
   let pool = Workspace.pool ws in
   (* Exact curvature diagonal: diag(2H₀)_i = 2(g_i + w·g_i²), since the
-     (i,i) entry of G entry-wise squared is g_i².  Block degrades to
-     Jacobi (the non-negativity clamp needs a diagonal metric). *)
+     (i,i) entry of G entry-wise squared is g_i². *)
   let dinv =
     match Workspace.resolve_precond ws precond with
     | Workspace.Precond_none -> None
-    | Workspace.Precond_jacobi | Workspace.Precond_block
-    | Workspace.Precond_auto ->
+    | Workspace.Precond_jacobi | Workspace.Precond_auto ->
         Some
           (Workspace.precond_vec ws
              ~key:(Printf.sprintf "vardi.jacobi.dinv:%h" w)

@@ -18,7 +18,7 @@ type mode = Auto | Dense | Sparse
    Jacobi in sparse mode — where iteration counts dominate wall-clock
    and the exact Gram diagonal is one O(nnz) pass — and none in dense
    mode, keeping every historical dense golden result bit-identical. *)
-type precond_kind = Precond_auto | Precond_jacobi | Precond_block | Precond_none
+type precond_kind = Precond_auto | Precond_jacobi | Precond_none
 
 (* Above this many OD pairs the dense artifacts (Gram, R, Cholesky,
    eigen) become the memory bottleneck — a 10⁴-pair Gram is ~1 GB — so
@@ -90,8 +90,9 @@ type t = {
   mutable gram_norm : float option;
   lipschitz_tbl : (string, float) Hashtbl.t;
   op_tbl : (string * int, Op.t) Hashtbl.t;
-      (* operator values keyed by (name, domain): compositions own
-         scratch buffers, so each domain gets private closures *)
+      (* operator values keyed by (name, domain): the normal-equations
+         operators own link buffers, so each domain gets private
+         closures *)
   mutable totals : (Vec.t * float) list;  (* MRU *)
   mutable priors : prior_slot list;  (* MRU *)
   scratch_tbl : (string * int * int, Vec.t array) Hashtbl.t;
@@ -105,9 +106,6 @@ type t = {
       (* memoized preconditioner diagonals, keyed by a method-built
          string with parameters %h-encoded; values are shared read-only
          so one entry serves every domain *)
-  block_tbl : (string * int, (Vec.t -> dst:Vec.t -> unit) option) Hashtbl.t;
-      (* block-Jacobi appliers per (key, domain) — the closures own
-         gather buffers; [None] caches a memory-gate refusal *)
   mutable last_iters : (string * int) list;  (* MRU, per method name *)
   counters : counters;
   mutable solve_words : float;  (* cumulative allocation over solves *)
@@ -150,7 +148,6 @@ let create ?pool ?(sink = Obs.null) ?(mode = Auto) routing =
     warm = [];
     gdiag = None;
     precond_tbl = Hashtbl.create 7;
-    block_tbl = Hashtbl.create 7;
     last_iters = [];
     counters =
       {
@@ -173,14 +170,12 @@ let create ?pool ?(sink = Obs.null) ?(mode = Auto) routing =
   }
 
 let routing t = t.routing
-let mode t = if t.sparse then Sparse else Dense
 let is_sparse t = t.sparse
 
 let resolve_precond t = function
   | Precond_auto -> if t.sparse then Precond_jacobi else Precond_none
   | k -> k
 let sink t = t.sink
-let set_sink t s = t.sink <- s
 
 (* Every estimation method resolves its caller-supplied stopping policy
    the same way: its own defaults fill unset limits, the workspace sink
@@ -203,10 +198,13 @@ let egress_rows t = t.egress
 let pool t = t.pool
 let set_pool t p = t.pool <- p
 
+(* Wall-clock seconds through the shared trace clock (drivers point it
+   at [Unix.gettimeofday]); CPU time would sum over every domain and
+   over-count concurrent work. *)
 let timed c compute =
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.now_ns () in
   let v = compute () in
-  c.s <- c.s +. (Sys.time () -. t0);
+  c.s <- c.s +. Obs.Clock.seconds_since t0;
   v
 
 (* Artifact memos hold the lock across the computation: the closures
@@ -284,7 +282,7 @@ let gram_chol t =
     t
 
 let gram_eigen t =
-  dense_only t ~name:"gram_eigen" ~hint:"Op.norm2_est/Op.trace_est";
+  dense_only t ~name:"gram_eigen" ~hint:"Workspace.op_norm";
   let g = gram t in
   memo ~name:"eigen" t.counters.c_eigen
     (fun t -> t.eigen)
@@ -330,10 +328,10 @@ let gram_norm t =
 (* Matrix-free operator artifacts                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Operators are cached per (name, domain) because compositions own
-   scratch buffers (see the single-caller note in {!Tmest_linalg.Op});
-   handing every domain its private closures keeps concurrent solves
-   race-free, mirroring the scratch arenas below.  The builders must
+(* Operators are cached per (name, domain) because the normal-equations
+   operators own link-space buffers (see the single-caller note in
+   {!Tmest_linalg.Op}); handing every domain its private closures keeps
+   concurrent solves race-free, mirroring the scratch arenas below.  The builders must
    not re-enter the workspace — expensive inputs (transpose, Z factor)
    are forced through their own memos first. *)
 let op_cached t ~name ~build =
@@ -357,17 +355,14 @@ let op t =
   op_cached t ~name:"op" ~build:(fun () ->
       let r = t.routing.Routing.matrix in
       Op.make ~rows:(Csr.rows r) ~cols:(Csr.cols r)
-        ~normal_diag:(fun () -> Csr.col_sq_norms r)
         ~apply_into:(fun x ~dst -> Csr.matvec_into ?pool:t.pool r x ~dst)
-        ~apply_t_into:(fun y ~dst -> Csr.tmatvec_into r y ~dst)
-        ())
+        ~apply_t_into:(fun y ~dst -> Csr.tmatvec_into r y ~dst))
 
 (* RᵀR as x ↦ Rᵀ(Rx): the matrix-free replacement for {!gram}.  Built
    on the fused [Csr.normal_apply_into] — one kernel call per solver
-   iteration through a per-domain link buffer, bit-identical to
-   [Op.normal (op t)] (it runs the same matvec/tmatvec kernels, minus
-   the closure indirection).  [t.pool] is read at application time so
-   [set_pool] sweeps apply to cached operators. *)
+   iteration through a per-domain link buffer, bit-identical to a
+   matvec followed by a tmatvec.  [t.pool] is read at application time
+   so [set_pool] sweeps apply to cached operators. *)
 let normal_op t =
   op_cached t ~name:"normal" ~build:(fun () ->
       let r = t.routing.Routing.matrix in
@@ -375,9 +370,8 @@ let normal_op t =
       let apply x ~dst =
         Csr.normal_apply_into ?pool:t.pool r x ~link ~dst
       in
-      Op.make ~rows:(Csr.cols r) ~cols:(Csr.cols r)
-        ~diag:(fun () -> Csr.col_sq_norms r)
-        ~apply_into:apply ~apply_t_into:apply ())
+      Op.make ~rows:(Csr.cols r) ~cols:(Csr.cols r) ~apply_into:apply
+        ~apply_t_into:apply)
 
 (* The entry-wise squared Gram (RᵀR)∘(RᵀR) factored as ZᵀZ without ever
    forming the p x p matrix: G∘G has entries (Σ_l R_li R_lj)² =
@@ -426,9 +420,8 @@ let gram_sq_op t =
       let apply x ~dst =
         Csr.normal_apply_into ?pool:t.pool z x ~link ~dst
       in
-      Op.make ~rows:(Csr.cols z) ~cols:(Csr.cols z)
-        ~diag:(fun () -> Csr.col_sq_norms z)
-        ~apply_into:apply ~apply_t_into:apply ())
+      Op.make ~rows:(Csr.cols z) ~cols:(Csr.cols z) ~apply_into:apply
+        ~apply_t_into:apply)
 
 let cached_lipschitz t ~key ~compute =
   Mutex.protect t.lock (fun () ->
@@ -448,9 +441,9 @@ let cached_lipschitz t ~key ~compute =
    caller (per-window matrices, stacked operators) and must not run
    under the lock — only the accounting does. *)
 let counted_lipschitz t compute =
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.now_ns () in
   let v = compute () in
-  let dt = Sys.time () -. t0 in
+  let dt = Obs.Clock.seconds_since t0 in
   Mutex.protect t.lock (fun () ->
       t.counters.c_lipschitz.m <- t.counters.c_lipschitz.m + 1;
       t.counters.c_lipschitz.s <- t.counters.c_lipschitz.s +. dt;
@@ -501,9 +494,9 @@ let precond_vec t ~key ~compute =
   match cached with
   | Some v -> v
   | None ->
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.now_ns () in
       let v = compute () in
-      let dt = Sys.time () -. t0 in
+      let dt = Obs.Clock.seconds_since t0 in
       Mutex.protect t.lock (fun () ->
           t.counters.c_precond.s <- t.counters.c_precond.s +. dt;
           match Hashtbl.find_opt t.precond_tbl key with
@@ -511,151 +504,6 @@ let precond_vec t ~key ~compute =
           | None ->
               Hashtbl.replace t.precond_tbl key v;
               v)
-
-(* Jacobi M⁻¹ for CG on the (shifted) normal equations G + shift·I:
-   z_i = r_i / (g_i + shift).  Zero diagonal entries (OD pair crossing
-   no measured link) pass through unscaled. *)
-let jacobi_cg_minv t ~shift =
-  let dinv =
-    precond_vec t
-      ~key:(Printf.sprintf "cg.jacobi:%h" shift)
-      ~compute:(fun () ->
-        Vec.map
-          (fun g ->
-            let d = g +. shift in
-            if d > 0. then 1. /. d else 1.)
-          (gram_diag t))
-  in
-  fun r ~dst -> Vec.mul_into dinv r ~dst
-
-(* Memory gate for block-Jacobi: total factor storage Σ_s b_s² words.
-   32M words = 256 MB of doubles; 500 PoPs (499² per block x 500
-   sources ≈ 125M words) falls back to Jacobi with a warning. *)
-let block_jacobi_budget_words = 32_000_000
-
-(* Block-Jacobi M⁻¹ for CG on G + shift·I: per-source dense blocks of
-   the Gram matrix, Cholesky-factored once and applied by in-place
-   forward/back substitution.  Returns [None] (after a warning) when
-   the factors would blow the memory budget; callers fall back to
-   {!jacobi_cg_minv}.  Cached per (shift, domain): the applier owns
-   gather buffers. *)
-let block_jacobi_cg_minv t ~shift =
-  (* Force inputs through their own memos before taking any lock. *)
-  let n = Topology.num_nodes t.routing.Routing.topo in
-  let p = num_pairs t in
-  let rt = if t.sparse then Some (transpose t) else None in
-  let g = if t.sparse then None else Some (gram t) in
-  let key = (Printf.sprintf "cg.block:%h" shift, (Domain.self () :> int)) in
-  let cached =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.block_tbl key with
-        | Some v ->
-            t.counters.c_precond.h <- t.counters.c_precond.h + 1;
-            sample t "precond" t.counters.c_precond;
-            Some v
-        | None ->
-            t.counters.c_precond.m <- t.counters.c_precond.m + 1;
-            sample t "precond" t.counters.c_precond;
-            None)
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-      let t0 = Sys.time () in
-      let module Odpairs = Tmest_net.Odpairs in
-      let idxs = Array.make n [] in
-      for pair = p - 1 downto 0 do
-        let s = Odpairs.source ~nodes:n pair in
-        idxs.(s) <- pair :: idxs.(s)
-      done;
-      let idxs = Array.map Array.of_list idxs in
-      let words =
-        Array.fold_left (fun acc a -> acc + (Array.length a * Array.length a))
-          0 idxs
-      in
-      let v =
-        if words > block_jacobi_budget_words then begin
-          Logs.warn (fun m ->
-              m "Workspace.block_jacobi: factor storage %d words exceeds \
-                 budget %d; falling back to Jacobi"
-                words block_jacobi_budget_words);
-          None
-        end
-        else begin
-          (* Entry oracle for G_ij restricted to one source block. *)
-          let block_entry =
-            match (rt, g) with
-            | Some rt, _ ->
-                fun i j ->
-                  (* Sparse rows of Rᵀ are short (path lengths); the
-                     merge over two sorted link lists is O(h_i + h_j). *)
-                  let rec merge a b acc =
-                    match (a, b) with
-                    | (la, va) :: ta, (lb, vb) :: tb ->
-                        if la = lb then merge ta tb (acc +. (va *. vb))
-                        else if la < lb then merge ta b acc
-                        else merge a tb acc
-                    | _ -> acc
-                  in
-                  merge (Csr.row_nonzeros rt i) (Csr.row_nonzeros rt j) 0.
-            | None, Some g -> fun i j -> Mat.unsafe_get g i j
-            | None, None -> assert false
-          in
-          let blocks =
-            Array.map
-              (fun idx ->
-                let b = Array.length idx in
-                if b = 0 then (idx, Mat.zeros 0 0, Vec.zeros 0)
-                else begin
-                  let blk = Mat.zeros b b in
-                  for a = 0 to b - 1 do
-                    for bj = a to b - 1 do
-                      let v = block_entry idx.(a) idx.(bj) in
-                      let v = if a = bj then v +. shift else v in
-                      Mat.unsafe_set blk a bj v;
-                      Mat.unsafe_set blk bj a v
-                    done
-                  done;
-                  let low = Chol.lower (Chol.factor_regularized blk) in
-                  (idx, low, Vec.zeros b)
-                end)
-              idxs
-          in
-          Some
-            (fun r ~dst ->
-              Array.iter
-                (fun (idx, low, tmp) ->
-                  let b = Array.length idx in
-                  for a = 0 to b - 1 do
-                    tmp.(a) <- r.(idx.(a))
-                  done;
-                  (* Forward substitution L y = tmp, in place. *)
-                  for a = 0 to b - 1 do
-                    let acc = ref tmp.(a) in
-                    for j = 0 to a - 1 do
-                      acc := !acc -. (Mat.unsafe_get low a j *. tmp.(j))
-                    done;
-                    tmp.(a) <- !acc /. Mat.unsafe_get low a a
-                  done;
-                  (* Back substitution Lᵀ x = y, in place. *)
-                  for a = b - 1 downto 0 do
-                    let acc = ref tmp.(a) in
-                    for j = a + 1 to b - 1 do
-                      acc := !acc -. (Mat.unsafe_get low j a *. tmp.(j))
-                    done;
-                    tmp.(a) <- !acc /. Mat.unsafe_get low a a
-                  done;
-                  for a = 0 to b - 1 do
-                    dst.(idx.(a)) <- tmp.(a)
-                  done)
-                blocks)
-        end
-      in
-      let dt = Sys.time () -. t0 in
-      Mutex.protect t.lock (fun () ->
-          t.counters.c_precond.s <- t.counters.c_precond.s +. dt;
-          Hashtbl.replace t.block_tbl key v);
-      v
 
 (* Per-method iteration counts from the most recent solve: noted by
    [Estimator.solve], read by the benchmark emitters.  Also streamed as
@@ -743,9 +591,9 @@ let cached_prior t ~kind ~loads ~compute =
       if t.sink.Obs.enabled then
         Obs.span_begin t.sink "ws.prior"
           ~args:[ ("kind", Obs.String kind_tag) ];
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.now_ns () in
       let v = compute () in
-      let dt = Sys.time () -. t0 in
+      let dt = Obs.Clock.seconds_since t0 in
       if t.sink.Obs.enabled then Obs.span_end t.sink "ws.prior";
       Mutex.protect t.lock (fun () ->
           t.counters.c_prior.s <- t.counters.c_prior.s +. dt;
@@ -928,32 +776,6 @@ let record_solve t ~seconds ~words =
            values and break the one-job trace-determinism invariant.
            Both remain visible through [stats]. *)
         Obs.counter t.sink "ws.solves" (float_of_int t.counters.c_solve.m))
-
-let add_counter a b =
-  {
-    hits = a.hits + b.hits;
-    misses = a.misses + b.misses;
-    seconds = a.seconds +. b.seconds;
-  }
-
-let add_stats a b =
-  {
-    gram = add_counter a.gram b.gram;
-    chol = add_counter a.chol b.chol;
-    eigen = add_counter a.eigen b.eigen;
-    transpose = add_counter a.transpose b.transpose;
-    dense = add_counter a.dense b.dense;
-    op = add_counter a.op b.op;
-    lipschitz = add_counter a.lipschitz b.lipschitz;
-    prior = add_counter a.prior b.prior;
-    total = add_counter a.total b.total;
-    solve = add_counter a.solve b.solve;
-    warm = add_counter a.warm b.warm;
-    precond = add_counter a.precond b.precond;
-    solve_words = a.solve_words +. b.solve_words;
-    peak_solve_words = Float.max a.peak_solve_words b.peak_solve_words;
-    heap_words = Float.max a.heap_words b.heap_words;
-  }
 
 let stats_rows s =
   [

@@ -60,15 +60,8 @@ val sparse_gate : int
     dense mode (see {!resolve_precond}), which keeps every historical
     dense golden result bit-identical; entropy and fanout resolve
     [Precond_auto] to none (the KL-prox and block-simplex geometries
-    measured slower under the diagonal metric).  [Precond_block]
-    selects block-Jacobi where a block structure exists (per-source CG
-    blocks, fanout's per-source metric) and degrades to Jacobi
-    elsewhere. *)
-type precond_kind =
-  | Precond_auto
-  | Precond_jacobi
-  | Precond_block
-  | Precond_none
+    measured slower under the diagonal metric). *)
+type precond_kind = Precond_auto | Precond_jacobi | Precond_none
 
 (** [create ?pool ?sink ?mode routing] wraps a routing context.  No
     artifact is computed until first use.  [pool], when given, is the
@@ -84,10 +77,7 @@ val create :
 
 val routing : t -> Tmest_net.Routing.t
 
-(** [mode t] is the resolved mode, never [Auto]. *)
-val mode : t -> mode
-
-(** [is_sparse t] is [mode t = Sparse]. *)
+(** [is_sparse t] is true when the mode resolved to [Sparse]. *)
 val is_sparse : t -> bool
 
 (** [resolve_precond t kind] resolves [Precond_auto] against this
@@ -97,13 +87,9 @@ val is_sparse : t -> bool
     fanout) bypass this and treat [Precond_auto] as none themselves. *)
 val resolve_precond : t -> precond_kind -> precond_kind
 
-(** [sink t] is the trace sink attached to this workspace; the null
-    sink unless a driver installed one ([--trace]). *)
+(** [sink t] is the trace sink attached at {!create}; the null sink
+    unless a driver passed one ([--trace]). *)
 val sink : t -> Tmest_obs.Obs.sink
-
-(** [set_sink t s] installs [s] as the trace destination for subsequent
-    operations against this workspace. *)
-val set_sink : t -> Tmest_obs.Obs.sink -> unit
 
 (** [solver_stop t stop ~label ~max_iter ~tol] resolves a
     caller-supplied {!Tmest_opt.Stop.t} against a method's defaults:
@@ -168,8 +154,8 @@ val dense : t -> Tmest_linalg.Mat.t
 
     Available in both modes; in sparse mode they are the {e only} form
     of the measurement system.  Operators are cached per calling domain
-    (compositions own scratch buffers, so every domain gets private
-    closures) and counted under the [op] stats class — in sparse mode
+    (the normal-equations operators own link-space buffers, so every
+    domain gets private closures) and counted under the [op] stats class — in sparse mode
     this class replaces the [gram]/[dense] classes, which would
     otherwise silently read 0. *)
 
@@ -235,23 +221,6 @@ val gram_diag : t -> Tmest_linalg.Vec.t
 val precond_vec :
   t -> key:string -> compute:(unit -> Tmest_linalg.Vec.t) ->
   Tmest_linalg.Vec.t
-
-(** [jacobi_cg_minv t ~shift] is the Jacobi [M⁻¹] for CG on the shifted
-    normal equations [G + shift·I]: [z_i = r_i / (g_i + shift)] (zero
-    diagonal entries pass through unscaled).  Pass as
-    {!Tmest_opt.Cg.solve_into}'s [m_inv_into]. *)
-val jacobi_cg_minv :
-  t -> shift:float -> Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit
-
-(** [block_jacobi_cg_minv t ~shift] is the block-Jacobi [M⁻¹] for CG on
-    [G + shift·I]: per-source dense Gram blocks, Cholesky-factored once
-    and applied by in-place triangular solves.  [None] (after a logged
-    warning) when the factors would exceed the memory budget
-    (Σ block² > 32M words) — fall back to {!jacobi_cg_minv}.  Cached per
-    calling domain (the applier owns gather buffers). *)
-val block_jacobi_cg_minv :
-  t -> shift:float ->
-  (Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) option
 
 (** [note_iterations t ~name ~iterations] records the iteration count
     of the most recent solve of method [name] (bounded MRU; called by
@@ -346,7 +315,8 @@ val store_warm_start : t -> key:string -> Tmest_linalg.Vec.t -> unit
 (** One artifact class's counters: [misses] is the number of times the
     artifact was actually computed, [hits] the number of times a cached
     value was served, [seconds] the cumulative wall-clock time spent
-    computing (misses only). *)
+    computing (misses only), read off {!Tmest_obs.Obs.Clock} — wall
+    time once a driver installs a wall-clock source there. *)
 type counter = { hits : int; misses : int; seconds : float }
 
 type stats = {
@@ -364,8 +334,8 @@ type stats = {
                         ([misses] = number of solves) *)
   warm : counter;  (** warm-start lookups ([hits] = starts served) *)
   precond : counter;
-      (** preconditioner artifacts: Gram diagonal, method diagonals,
-          block-Jacobi factors ([hits] = cached reuses) *)
+      (** preconditioner artifacts: Gram diagonal and method
+          diagonals ([hits] = cached reuses) *)
   solve_words : float;
       (** cumulative words (minor+major) allocated inside recorded
           solves *)
@@ -395,10 +365,6 @@ val reset_stats : t -> unit
     break one-job trace determinism.  Emits only the [ws.solves]
     counter sample when the sink is enabled. *)
 val record_solve : t -> seconds:float -> words:float -> unit
-
-(** [add_stats a b] sums two snapshots field-wise (aggregating several
-    workspaces in a report). *)
-val add_stats : stats -> stats -> stats
 
 (** [pp_stats ppf s] prints a compact human-readable summary. *)
 val pp_stats : Format.formatter -> stats -> unit

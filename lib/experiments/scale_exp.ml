@@ -37,12 +37,12 @@ let scale ctx =
           (fun name ->
             let m = Core.Estimator.of_name name in
             W.reset_stats ws;
-            let t0 = Sys.time () in
+            let t0 = Tmest_obs.Obs.Clock.now_ns () in
             let estimate =
               Core.Estimator.solve m ws ~loads:net.Ctx.loads
                 ~load_samples:samples
             in
-            let seconds = Sys.time () -. t0 in
+            let seconds = Tmest_obs.Obs.Clock.seconds_since t0 in
             let st = W.stats ws in
             let reference =
               if Core.Estimator.uses_time_series m then Ctx.busy_mean net

@@ -233,14 +233,6 @@ let iter_row m i f =
     f m.col_idx.(k) m.values.(k)
   done
 
-let scale_cols m d =
-  if Array.length d <> m.cols then
-    invalid_arg "Csr.scale_cols: dimension mismatch";
-  {
-    m with
-    values = Array.mapi (fun k v -> v *. d.(m.col_idx.(k))) m.values;
-  }
-
 let transpose m =
   let entries = ref [] in
   for i = m.rows - 1 downto 0 do

@@ -67,9 +67,6 @@ val row_nonzeros : t -> int -> (int * float) list
 (** [iter_row m i f] applies [f col value] over row [i]'s stored entries. *)
 val iter_row : t -> int -> (int -> float -> unit) -> unit
 
-(** [scale_cols m d] multiplies column [j] by [d.(j)]. *)
-val scale_cols : t -> Vec.t -> t
-
 (** [transpose m] is [mᵀ] in CSR form. *)
 val transpose : t -> t
 

@@ -4,40 +4,24 @@
    and [Aᵀ y] plus its shape.  The solver stack works against this
    interface so that large instances (10⁴–10⁵ OD pairs) never have to
    materialize a dense routing matrix or Gram matrix: CSR-backed
-   operators apply in O(nnz), and compositions (normal equations,
-   diagonal shifts, low-rank corrections) stay matrix-free.
+   operators apply in O(nnz).
 
-   Operators additionally carry {e exact} diagonal thunks where the
-   composition admits one in O(nnz): [diag] for the operator's own
-   diagonal (square operators) and [normal_diag] for the diagonal of
-   AᵀA (column sums-of-squares of the underlying matrix).  Jacobi
-   preconditioners read these instead of falling back to stochastic
-   (Hutchinson-style) diagonal estimation — the exact value is both
-   cheaper (one pass over the stored entries vs. dozens of operator
-   applications) and deterministic.
-
-   Operators are single-caller: compositions such as {!normal} keep one
-   internal scratch buffer, so a given operator value must not be
-   applied concurrently from several domains.  (Parallelism lives
-   *inside* an application — pooled CSR matvecs — not across them.) *)
+   Operators are single-caller: one may close over a scratch buffer
+   (the workspace's normal-equations operator does), so a given
+   operator value must not be applied concurrently from several
+   domains.  (Parallelism lives *inside* an application — pooled CSR
+   matvecs — not across them.) *)
 
 type t = {
   rows : int;
   cols : int;
   apply_into : Vec.t -> dst:Vec.t -> unit;
   apply_t_into : Vec.t -> dst:Vec.t -> unit;
-  diag : (unit -> Vec.t) option;
-  normal_diag : (unit -> Vec.t) option;
 }
 
-let make ?diag ?normal_diag ~rows ~cols ~apply_into ~apply_t_into () =
+let make ~rows ~cols ~apply_into ~apply_t_into =
   if rows < 0 || cols < 0 then invalid_arg "Op.make: negative dimension";
-  { rows; cols; apply_into; apply_t_into; diag; normal_diag }
-
-let rows t = t.rows
-let cols t = t.cols
-let diagonal t = Option.map (fun f -> f ()) t.diag
-let normal_diagonal t = Option.map (fun f -> f ()) t.normal_diag
+  { rows; cols; apply_into; apply_t_into }
 
 let check_apply t x ~dst =
   if Vec.dim x <> t.cols then invalid_arg "Op.apply: dimension mismatch";
@@ -67,264 +51,6 @@ let apply_t t y =
   dst
 
 let of_csr ?pool m =
-  {
-    rows = Csr.rows m;
-    cols = Csr.cols m;
-    apply_into = (fun x ~dst -> Csr.matvec_into ?pool m x ~dst);
-    apply_t_into = (fun y ~dst -> Csr.tmatvec_into m y ~dst);
-    diag = None;
-    (* diag(mᵀm) exactly, in one O(nnz) pass. *)
-    normal_diag = Some (fun () -> Csr.col_sq_norms m);
-  }
-
-let of_mat ?pool m =
-  {
-    rows = Mat.rows m;
-    cols = Mat.cols m;
-    apply_into = (fun x ~dst -> Mat.matvec_into ?pool m x ~dst);
-    apply_t_into = (fun y ~dst -> Mat.tmatvec_into m y ~dst);
-    diag =
-      (if Mat.rows m = Mat.cols m then
-         Some (fun () -> Vec.init (Mat.rows m) (fun i -> Mat.unsafe_get m i i))
-       else None);
-    normal_diag =
-      Some
-        (fun () ->
-          Vec.init (Mat.cols m) (fun j ->
-              let acc = ref 0. in
-              for i = 0 to Mat.rows m - 1 do
-                let v = Mat.unsafe_get m i j in
-                acc := !acc +. (v *. v)
-              done;
-              !acc));
-  }
-
-(* AᵀA as a single square operator.  The intermediate rows-length
-   product lives in one scratch buffer owned by the closure (see the
-   single-caller note above).  Its exact diagonal is the factor's
-   column sums-of-squares, inherited from [normal_diag]. *)
-let normal a =
-  let scratch = Vec.zeros a.rows in
-  let apply x ~dst =
-    a.apply_into x ~dst:scratch;
-    a.apply_t_into scratch ~dst
-  in
-  {
-    rows = a.cols;
-    cols = a.cols;
-    apply_into = apply;
-    apply_t_into = apply;
-    diag = a.normal_diag;
-    normal_diag = None;
-  }
-
-let diag d =
-  let n = Vec.dim d in
-  let apply x ~dst = Vec.mul_into d x ~dst in
-  {
-    rows = n;
-    cols = n;
-    apply_into = apply;
-    apply_t_into = apply;
-    diag = Some (fun () -> Vec.copy d);
-    normal_diag = Some (fun () -> Vec.map (fun v -> v *. v) d);
-  }
-
-let identity n =
-  let apply x ~dst = Vec.blit_into x ~dst in
-  let ones () = Vec.create n 1. in
-  {
-    rows = n;
-    cols = n;
-    apply_into = apply;
-    apply_t_into = apply;
-    diag = Some ones;
-    normal_diag = Some ones;
-  }
-
-let map_thunk f = Option.map (fun g () -> f (g ()))
-
-let scale c a =
-  {
-    a with
-    apply_into =
-      (fun x ~dst ->
-        a.apply_into x ~dst;
-        Vec.scale_into c dst ~dst);
-    apply_t_into =
-      (fun y ~dst ->
-        a.apply_t_into y ~dst;
-        Vec.scale_into c dst ~dst);
-    diag = map_thunk (Vec.scale c) a.diag;
-    normal_diag = map_thunk (Vec.scale (c *. c)) a.normal_diag;
-  }
-
-let add a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Op.add: shape mismatch";
-  let scratch_r = Vec.zeros a.rows in
-  let scratch_c = Vec.zeros a.cols in
-  {
-    rows = a.rows;
-    cols = a.cols;
-    apply_into =
-      (fun x ~dst ->
-        b.apply_into x ~dst:scratch_r;
-        a.apply_into x ~dst;
-        Vec.add_into dst scratch_r ~dst);
-    apply_t_into =
-      (fun y ~dst ->
-        b.apply_t_into y ~dst:scratch_c;
-        a.apply_t_into y ~dst;
-        Vec.add_into dst scratch_c ~dst);
-    diag =
-      (match (a.diag, b.diag) with
-      | Some da, Some db -> Some (fun () -> Vec.add (da ()) (db ()))
-      | _ -> None);
-    (* diag((A+B)ᵀ(A+B)) needs the cross term AᵀB; not tracked. *)
-    normal_diag = None;
-  }
-
-let add_diag a d =
-  if a.rows <> a.cols then invalid_arg "Op.add_diag: operator not square";
-  if Vec.dim d <> a.cols then invalid_arg "Op.add_diag: diagonal mismatch";
-  let wrap f x ~dst =
-    f x ~dst;
-    for i = 0 to a.cols - 1 do
-      dst.(i) <- dst.(i) +. (d.(i) *. x.(i))
-    done
-  in
-  {
-    a with
-    apply_into = wrap a.apply_into;
-    apply_t_into = wrap a.apply_t_into;
-    diag = map_thunk (fun da -> Vec.add da d) a.diag;
-    normal_diag = None;
-  }
-
-let shift a c =
-  if a.rows <> a.cols then invalid_arg "Op.shift: operator not square";
-  let wrap f x ~dst =
-    f x ~dst;
-    Vec.axpy_into c x dst ~dst
-  in
-  {
-    a with
-    apply_into = wrap a.apply_into;
-    apply_t_into = wrap a.apply_t_into;
-    diag = map_thunk (Vec.map (fun v -> v +. c)) a.diag;
-    normal_diag = None;
-  }
-
-(* Rank-one correction x ↦ u (v·x); the transpose swaps the factors. *)
-let outer u v =
-  {
-    rows = Vec.dim u;
-    cols = Vec.dim v;
-    apply_into =
-      (fun x ~dst ->
-        let a = Vec.dot v x in
-        Vec.scale_into a u ~dst);
-    apply_t_into =
-      (fun y ~dst ->
-        let a = Vec.dot u y in
-        Vec.scale_into a v ~dst);
-    diag =
-      (if Vec.dim u = Vec.dim v then Some (fun () -> Vec.mul u v) else None);
-    normal_diag =
-      Some
-        (fun () ->
-          let uu = Vec.dot u u in
-          Vec.map (fun vi -> uu *. vi *. vi) v);
-  }
-
-(* Symmetric diagonal preconditioning D^{-1/2} A D^{-1/2}: similar to
-   M⁻¹A (same spectrum) but stays symmetric, so spectral estimates and
-   CG theory carry over unchanged.  The inverse square roots are
-   materialized once; each application costs two extra O(n) scalings. *)
-let precondition a d =
-  if a.rows <> a.cols then invalid_arg "Op.precondition: operator not square";
-  if Vec.dim d <> a.cols then
-    invalid_arg "Op.precondition: diagonal dimension mismatch";
-  let inv_sqrt =
-    Vec.map
-      (fun v ->
-        if v <= 0. then invalid_arg "Op.precondition: diagonal must be > 0"
-        else 1. /. sqrt v)
-      d
-  in
-  let scratch = Vec.zeros a.cols in
-  let apply f x ~dst =
-    Vec.mul_into inv_sqrt x ~dst:scratch;
-    f scratch ~dst;
-    Vec.mul_into inv_sqrt dst ~dst
-  in
-  {
-    a with
-    apply_into = apply a.apply_into;
-    apply_t_into = apply a.apply_t_into;
-    diag = map_thunk (fun da -> Vec.div da d) a.diag;
-    normal_diag = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Spectral estimates                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Power iteration for the largest eigenvalue of a symmetric PSD
-   operator.  Start vector, iteration count and the 1% safety margin
-   deliberately mirror [Fista.lipschitz_of_op] so that a dense Gram and
-   its matrix-free twin produce the same estimate. *)
-let norm2_est ?(iters = 60) a =
-  if a.rows <> a.cols then invalid_arg "Op.norm2_est: operator not square";
-  let dim = a.rows in
-  if dim = 0 then 0.
-  else begin
-    let v =
-      ref (Vec.init dim (fun i -> 1. +. (0.01 *. float_of_int (i mod 7))))
-    in
-    let lambda = ref 0. in
-    let n0 = Vec.norm2 !v in
-    v := Vec.scale (1. /. n0) !v;
-    let w = Vec.zeros dim in
-    for _ = 1 to iters do
-      a.apply_into !v ~dst:w;
-      let n = Vec.norm2 w in
-      if n > 0. then begin
-        lambda := n;
-        Vec.scale_into (1. /. n) w ~dst:!v
-      end
-    done;
-    !lambda *. 1.01
-  end
-
-(* Deterministic Rademacher stream for the trace estimator: splitmix64,
-   inlined because tmest_linalg sits below tmest_stats in the library
-   graph. *)
-let splitmix64 state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-            0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-            0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let trace_est ?(samples = 16) ?(seed = 0x51ca) a =
-  if a.rows <> a.cols then invalid_arg "Op.trace_est: operator not square";
-  let dim = a.rows in
-  if dim = 0 then 0.
-  else begin
-    let state = ref (Int64.of_int seed) in
-    let z = Vec.zeros dim in
-    let az = Vec.zeros dim in
-    let acc = ref 0. in
-    for _ = 1 to samples do
-      for i = 0 to dim - 1 do
-        z.(i) <- (if Int64.compare (splitmix64 state) 0L >= 0 then 1. else -1.)
-      done;
-      a.apply_into z ~dst:az;
-      acc := !acc +. Vec.dot z az
-    done;
-    !acc /. float_of_int samples
-  end
+  make ~rows:(Csr.rows m) ~cols:(Csr.cols m)
+    ~apply_into:(fun x ~dst -> Csr.matvec_into ?pool m x ~dst)
+    ~apply_t_into:(fun y ~dst -> Csr.tmatvec_into m y ~dst)

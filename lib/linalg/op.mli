@@ -3,57 +3,30 @@
     The sparse-first solver core works against this interface instead of
     materialized matrices: a [t] knows its shape and how to apply [A x]
     and [Aᵀ y] into caller-provided buffers.  CSR-backed operators apply
-    in O(nnz); compositions keep normal equations, diagonal shifts and
-    low-rank corrections matrix-free, which is what makes estimation
-    feasible at 10⁴–10⁵ OD pairs where a dense Gram is unbuildable.
+    in O(nnz), which is what makes estimation feasible at 10⁴–10⁵ OD
+    pairs where a dense Gram is unbuildable.
 
-    {b Exact diagonals.} Operators carry optional thunks for their own
-    diagonal ([diag], square operators) and for the diagonal of [AᵀA]
-    ([normal_diag]).  Compositions propagate them where an exact O(nnz)
-    formula exists, so Jacobi preconditioners never need stochastic
-    (Hutchinson) diagonal estimation: a CSR factor yields diag(AᵀA) in
-    one pass over its stored entries.
-
-    {b Concurrency.} Operators are single-caller: compositions such as
-    {!normal} and {!add} own internal scratch buffers, so one operator
-    value must not be applied from several domains at once.  Parallelism
-    belongs inside an application (pooled CSR matvec), not across
-    applications. *)
+    {b Concurrency.} An operator may close over scratch buffers (the
+    workspace's normal-equations operator owns its link-space buffer),
+    so one operator value must not be applied from several domains at
+    once.  Parallelism belongs inside an application (pooled CSR
+    matvec), not across applications. *)
 
 type t = {
   rows : int;
   cols : int;
   apply_into : Vec.t -> dst:Vec.t -> unit;
   apply_t_into : Vec.t -> dst:Vec.t -> unit;
-  diag : (unit -> Vec.t) option;
-      (** Exact diagonal of the (square) operator, when known. *)
-  normal_diag : (unit -> Vec.t) option;
-      (** Exact diagonal of [AᵀA], when known. *)
 }
 
 (** [make ~rows ~cols ~apply_into ~apply_t_into] wraps raw closures.
-    The closures receive already shape-checked arguments.  [?diag] /
-    [?normal_diag] optionally attach exact diagonal thunks (each call
-    may allocate a fresh vector; callers memoize). *)
+    The closures receive already shape-checked arguments. *)
 val make :
-  ?diag:(unit -> Vec.t) ->
-  ?normal_diag:(unit -> Vec.t) ->
   rows:int ->
   cols:int ->
   apply_into:(Vec.t -> dst:Vec.t -> unit) ->
   apply_t_into:(Vec.t -> dst:Vec.t -> unit) ->
-  unit ->
   t
-
-val rows : t -> int
-val cols : t -> int
-
-(** [diagonal t] is the exact diagonal of [t] when the composition
-    tracks one ([None] otherwise — never an estimate). *)
-val diagonal : t -> Vec.t option
-
-(** [normal_diagonal t] is the exact diagonal of [tᵀt] when tracked. *)
-val normal_diagonal : t -> Vec.t option
 
 (** [apply_into t x ~dst] writes [A x] into [dst] (length [rows]);
     raises [Invalid_argument] on shape mismatch. *)
@@ -69,55 +42,5 @@ val apply_t : t -> Vec.t -> Vec.t
 
 (** [of_csr ?pool m] applies the sparse matrix in O(nnz); forward
     products use the pooled row-partitioned kernel and are bit-identical
-    at every pool size.  Carries the exact Gram diagonal
-    ({!Csr.col_sq_norms}). *)
+    at every pool size. *)
 val of_csr : ?pool:Tmest_parallel.Pool.t -> Csr.t -> t
-
-(** [of_mat ?pool m] wraps a dense matrix (small-[n] fast path and test
-    oracle).  Carries exact diagonals. *)
-val of_mat : ?pool:Tmest_parallel.Pool.t -> Mat.t -> t
-
-(** [normal a] is the square operator [x ↦ Aᵀ(A x)] — the matrix-free
-    normal equations.  Symmetric, so [apply_t = apply].  Its [diag] is
-    [a]'s [normal_diag]. *)
-val normal : t -> t
-
-(** [diag d] is the diagonal operator [x ↦ d ∘ x]. *)
-val diag : Vec.t -> t
-
-val identity : int -> t
-
-(** [scale c a] is [c·A] (diagonals scale by [c] and [c²]). *)
-val scale : float -> t -> t
-
-(** [add a b] is [A + B] (shapes must match); [diag] adds when both
-    operands track one. *)
-val add : t -> t -> t
-
-(** [add_diag a d] is [A + diag d] for square [a]. *)
-val add_diag : t -> Vec.t -> t
-
-(** [shift a c] is [A + c·I] for square [a] (ridge terms). *)
-val shift : t -> float -> t
-
-(** [outer u v] is the rank-one operator [x ↦ u (v·x)]. *)
-val outer : Vec.t -> Vec.t -> t
-
-(** [precondition a d] is the symmetrically scaled operator
-    [D^{-1/2} A D^{-1/2}] with [D = diag d], [d > 0] elementwise —
-    similar to [M⁻¹A] (same spectrum) but symmetric, so CG and spectral
-    estimates apply unchanged.  Two extra O(n) scalings per
-    application. *)
-val precondition : t -> Vec.t -> t
-
-(** [norm2_est ?iters a] estimates the largest eigenvalue of a
-    symmetric PSD operator by power iteration, with the same start
-    vector, default iteration count and 1% safety margin as
-    [Fista.lipschitz_of_op] — a dense Gram and its matrix-free twin get
-    the same estimate. *)
-val norm2_est : ?iters:int -> t -> float
-
-(** [trace_est ?samples ?seed a] is the Hutchinson trace estimator
-    [E(zᵀAz)] over deterministic Rademacher vectors; exact in
-    expectation, deterministic in [seed]. *)
-val trace_est : ?samples:int -> ?seed:int -> t -> float

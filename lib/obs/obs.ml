@@ -26,6 +26,8 @@ module Clock = struct
   let now_ns () =
     let seconds = (Atomic.get source) () in
     clamp (Int64.of_float (seconds *. 1e9))
+
+  let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
 end
 
 type value =

@@ -18,6 +18,10 @@ module Clock : sig
       the last issued stamp: the returned sequence is globally monotone
       non-decreasing even across domains or a stepping source. *)
   val now_ns : unit -> int64
+
+  (** [seconds_since t0] is the time elapsed since the stamp [t0] (a
+      {!now_ns} result), in seconds. *)
+  val seconds_since : int64 -> float
 end
 
 type value =

@@ -9,10 +9,9 @@ type result = {
   converged : bool;
 }
 
-let scratch_size = 5
+let scratch_size = 4
 
-let solve_into ?x0 ?(stop = Stop.default) ?scratch ?m_inv_into ~apply_into ~b
-    () =
+let solve_into ?x0 ?(stop = Stop.default) ?scratch ~apply_into ~b () =
   let dim = Array.length b in
   let max_iter = Stop.max_iter stop ~default:(2 * dim) in
   let tol = Stop.tol stop ~default:1e-10 in
@@ -23,12 +22,6 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?m_inv_into ~apply_into ~b
     Scratch.take ~name:"Cg.solve_into" ~dim ~count:scratch_size scratch
   in
   let x = bufs.(0) and r = bufs.(1) and p = bufs.(2) and ap = bufs.(3) in
-  (* Preconditioned residual z = M⁻¹r.  Without a preconditioner [z]
-     aliases [r] and every z-expression collapses onto the classic CG
-     recurrences — same floats in the same order, so enabling the
-     [m_inv_into:None] path is bit-identical to the historical
-     unpreconditioned solver. *)
-  let z = match m_inv_into with Some _ -> bufs.(4) | None -> r in
   (match x0 with
   | Some v ->
       if Vec.dim v <> dim then invalid_arg "Cg.solve: x0 dimension mismatch";
@@ -37,22 +30,12 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?m_inv_into ~apply_into ~b
   apply_into x ~dst:ap;
   Vec.sub_into b ap ~dst:r;
   let rs = ref (Vec.dot r r) in
-  let rz =
-    ref
-      (match m_inv_into with
-      | Some f ->
-          f r ~dst:z;
-          Vec.dot r z
-      | None -> !rs)
-  in
-  Vec.blit_into z ~dst:p;
+  Vec.blit_into r ~dst:p;
   let target = tol *. (Vec.norm2 b +. 1e-300) in
   let iterations = ref 0 in
   if traced then
     Obs.span_begin sink label
       ~args:[ ("dim", Obs.Int dim); ("max_iter", Obs.Int max_iter) ];
-  (* Convergence is judged on the true residual ‖r‖ in both modes, so a
-     preconditioner changes the path, never the meaning of [tol]. *)
   while sqrt !rs > target && !iterations < max_iter do
     incr iterations;
     apply_into p ~dst:ap;
@@ -64,27 +47,19 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?m_inv_into ~apply_into ~b
       rs := 0.
     end
     else begin
-      let alpha = !rz /. pap in
+      let alpha = !rs /. pap in
       Vec.axpy_into alpha p x ~dst:x;
       (* Fused r <- r - alpha*Ap and ||r||^2 in one pass: bit-identical
          to the separate axpy + dot (store precedes accumulate per
          element) and allocation-neutral (one boxed float return where
          [dot] returned one). *)
       let rs' = Vec.axpy_sq_into (-.alpha) ap r ~dst:r in
-      let rz' =
-        match m_inv_into with
-        | Some f ->
-            f r ~dst:z;
-            Vec.dot r z
-        | None -> rs'
-      in
-      let beta = rz' /. !rz in
-      Vec.axpy_into beta p z ~dst:p;
+      let beta = rs' /. !rs in
+      Vec.axpy_into beta p r ~dst:p;
       if traced then
         Obs.iter sink ~solver:label ~iter:!iterations ~residual:(sqrt rs')
           ~step:alpha ();
-      rs := rs';
-      rz := rz'
+      rs := rs'
     end
   done;
   if traced then Obs.span_end sink label;
@@ -108,8 +83,3 @@ let solve_mat ?stop a b =
   solve_into ?stop
     ~apply_into:(fun v ~dst -> Mat.matvec_into a v ~dst)
     ~b ()
-
-let lsqr_normal ?stop ~matvec ~tmatvec ~b () =
-  let apply v = tmatvec (matvec v) in
-  let rhs = tmatvec b in
-  solve ?stop ~apply ~b:rhs ()

@@ -13,7 +13,7 @@ type result = {
 
 (** Number of scratch buffers of the system dimension consumed by
     [solve_into] (iterate, residual, search direction, operator
-    output, preconditioned residual). *)
+    output). *)
 val scratch_size : int
 
 (** [solve_into ~apply_into ~b ()] solves [A x = b] for SPD [A] given
@@ -25,19 +25,11 @@ val scratch_size : int
     below [tol * ‖b‖] (default [tol = 1e-10]) or [max_iter] iterations
     (default [2 * dim]) — and the trace sink; with an enabled sink the
     solver emits one span plus a per-iteration record (residual norm,
-    step length α).
-
-    [?m_inv_into] turns the solver into preconditioned CG: it must
-    apply a symmetric positive-definite [M⁻¹] (e.g. inverse Jacobi or
-    block-Jacobi diagonal) into [dst], and is called once per iteration.
-    Convergence is still judged on the true residual [‖b − A x‖], so the
-    preconditioner changes the iteration count, never the accuracy.
-    Omitting it gives a path bit-identical to classic CG. *)
+    step length α). *)
 val solve_into :
   ?x0:Tmest_linalg.Vec.t ->
   ?stop:Stop.t ->
   ?scratch:Tmest_linalg.Vec.t array ->
-  ?m_inv_into:(Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->
   apply_into:(Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->
   b:Tmest_linalg.Vec.t ->
   unit ->
@@ -56,16 +48,4 @@ val solve :
 (** [solve_mat a b] is [solve] with a dense SPD matrix. *)
 val solve_mat :
   ?stop:Stop.t -> Tmest_linalg.Mat.t -> Tmest_linalg.Vec.t ->
-  result
-
-(** [lsqr_normal ~matvec ~tmatvec ~b ()] solves the least-squares
-    problem [min ‖M x − b‖] through the normal equations
-    [MᵀM x = Mᵀ b] with CG (adequate for the mildly conditioned routing
-    systems here). *)
-val lsqr_normal :
-  ?stop:Stop.t ->
-  matvec:(Tmest_linalg.Vec.t -> Tmest_linalg.Vec.t) ->
-  tmatvec:(Tmest_linalg.Vec.t -> Tmest_linalg.Vec.t) ->
-  b:Tmest_linalg.Vec.t ->
-  unit ->
   result

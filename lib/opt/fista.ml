@@ -9,7 +9,7 @@ let scratch_size = 4
 let default_project v ~dst = Vec.clamp_nonneg_into v ~dst
 
 let solve_into ?x0 ?(stop = Stop.default) ?scratch ?project_into ?objective
-    ?dinv ?backtrack ~dim ~gradient_into ~lipschitz () =
+    ?dinv ~dim ~gradient_into ~lipschitz () =
   if lipschitz <= 0. then invalid_arg "Fista.solve: lipschitz must be > 0";
   (match dinv with
   | Some dv when Vec.dim dv <> dim ->
@@ -39,82 +39,27 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?project_into ?objective
   let momentum = ref 1. in
   let iterations = ref 0 in
   let converged = ref false in
-  (* Preconditioned gradient step x⁺ = Π(y − η·D⁻¹∇f(y)); without
-     [dinv] this is the historical axpy, bit for bit. *)
-  let take_step eta =
-    (match dinv with
-    | None -> Vec.axpy_into (-.eta) g y ~dst:!x_next
-    | Some dv ->
-        let xna = !x_next in
-        for i = 0 to dim - 1 do
-          Array.unsafe_set xna i
-            (Array.unsafe_get y i
-            -. (eta *. Array.unsafe_get dv i *. Array.unsafe_get g i))
-        done);
-    project_into !x_next ~dst:!x_next
-  in
-  (* Backtracking line search on the smooth part: accept η when
-     f(x⁺) ≤ f(y) + ∇f(y)·(x⁺−y) + ‖x⁺−y‖²_D/(2η) (sufficient-decrease
-     in the step's own metric), halving on failure.  The spectral
-     1/lipschitz seeds the search and mild growth between iterations
-     lets the step recover after a conservative stretch. *)
-  let bt_step = ref step in
-  let used_step = ref step in
-  let quad_gap eta =
-    let xna = !x_next in
-    let gd = ref 0. and dd = ref 0. in
-    (match dinv with
-    | None ->
-        for i = 0 to dim - 1 do
-          let d = Array.unsafe_get xna i -. Array.unsafe_get y i in
-          gd := !gd +. (Array.unsafe_get g i *. d);
-          dd := !dd +. (d *. d)
-        done
-    | Some dv ->
-        for i = 0 to dim - 1 do
-          let d = Array.unsafe_get xna i -. Array.unsafe_get y i in
-          gd := !gd +. (Array.unsafe_get g i *. d);
-          dd := !dd +. (d *. d /. Array.unsafe_get dv i)
-        done);
-    !gd +. (!dd /. (2. *. eta))
-  in
   if traced then
     Obs.span_begin sink label
       ~args:[ ("dim", Obs.Int dim); ("max_iter", Obs.Int max_iter) ];
   while (not !converged) && !iterations < max_iter do
     incr iterations;
     gradient_into y ~dst:g;
-    (match backtrack with
-    | None -> (
-        (* Inlined [take_step step]: calling the closure would box the
-           float argument every iteration (+2 minor words on the
-           disabled path, which BENCH_solvers.json pins at 2/iter). *)
-        (match dinv with
-        | None -> Vec.axpy_into (-.step) g y ~dst:!x_next
-        | Some dv ->
-            let xna = !x_next in
-            for i = 0 to dim - 1 do
-              Array.unsafe_set xna i
-                (Array.unsafe_get y i
-                -. (step *. Array.unsafe_get dv i *. Array.unsafe_get g i))
-            done);
-        project_into !x_next ~dst:!x_next)
-    | Some f ->
-        let fy = f y in
-        let slack = 1e-10 *. (abs_float fy +. 1.) in
-        let accepted = ref false in
-        let attempts = ref 0 in
-        while not !accepted do
-          incr attempts;
-          take_step !bt_step;
-          if
-            !attempts >= 30
-            || f !x_next <= fy +. quad_gap !bt_step +. slack
-          then accepted := true
-          else bt_step := !bt_step /. 2.
-        done;
-        used_step := !bt_step;
-        bt_step := !bt_step *. 1.25);
+    (* Preconditioned gradient step x⁺ = Π(y − η·D⁻¹∇f(y)), written out
+       inline: a closure taking the float step would box it every
+       iteration (+2 minor words on the disabled path, which
+       BENCH_solvers.json pins at 2/iter).  Without [dinv] this is the
+       historical axpy, bit for bit. *)
+    (match dinv with
+    | None -> Vec.axpy_into (-.step) g y ~dst:!x_next
+    | Some dv ->
+        let xna = !x_next in
+        for i = 0 to dim - 1 do
+          Array.unsafe_set xna i
+            (Array.unsafe_get y i
+            -. (step *. Array.unsafe_get dv i *. Array.unsafe_get g i))
+        done);
+    project_into !x_next ~dst:!x_next;
     (* One fused pass computes the adaptive-restart test
        (O'Donoghue & Candès: kill the momentum when it opposes the
        direction of progress), the step length and ‖x_next‖ without
@@ -144,7 +89,7 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?project_into ?objective
       Obs.iter sink ~solver:label ~iter:!iterations
         ~objective:
           (match objective with Some f -> f !x_next | None -> nan)
-        ~residual:(sqrt !delta_sq) ~step:!used_step ~restart ();
+        ~residual:(sqrt !delta_sq) ~step ~restart ();
     let tmp = !x in
     x := !x_next;
     x_next := tmp;

@@ -44,13 +44,6 @@ val scratch_size : int
       [lipschitz] must then bound [D^{-1/2} H D^{-1/2}], i.e. the
       preconditioned curvature.  Omitting [dinv] reproduces the
       unpreconditioned path bit for bit.
-    - [backtrack]: value of the smooth part [f]; switches the fixed
-      [1/lipschitz] step to a backtracking line search seeded by the
-      spectral estimate — accept [η] when
-      [f(x⁺) ≤ f(y) + ∇f(y)·(x⁺−y) + ‖x⁺−y‖²_D/(2η)], halve on
-      failure, grow mildly between iterations.  [f] is evaluated 2+
-      times per iteration (may allocate), so this is for objectives
-      whose true curvature sits well below the spectral bound.
     - Restarts the momentum whenever it points uphill (adaptive restart),
       which matters for the badly conditioned small-regularization runs. *)
 val solve_into :
@@ -60,7 +53,6 @@ val solve_into :
   ?project_into:(Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->
   ?objective:(Tmest_linalg.Vec.t -> float) ->
   ?dinv:Tmest_linalg.Vec.t ->
-  ?backtrack:(Tmest_linalg.Vec.t -> float) ->
   dim:int ->
   gradient_into:(Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->
   lipschitz:float ->

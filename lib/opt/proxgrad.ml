@@ -6,8 +6,8 @@ type result = { x : Vec.t; iterations : int; converged : bool }
 
 let scratch_size = 4
 
-let solve_into ?x0 ?(stop = Stop.default) ?scratch ?objective ?dinv ?backtrack
-    ~dim ~gradient_into ~prox_into ~lipschitz () =
+let solve_into ?x0 ?(stop = Stop.default) ?scratch ?objective ?dinv ~dim
+    ~gradient_into ~prox_into ~lipschitz () =
   if lipschitz <= 0. then invalid_arg "Proxgrad.solve: lipschitz must be > 0";
   (match dinv with
   | Some dv when Vec.dim dv <> dim ->
@@ -34,69 +34,26 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?objective ?dinv ?backtrack
   let momentum = ref 1. in
   let iterations = ref 0 in
   let converged = ref false in
-  (* Preconditioned forward step x⁺ = prox_η(y − η·D⁻¹∇f(y)); the prox
-     callback sees the same η and is expected to apply the matching
-     metric (e.g. {!kl_prox_scaled_into} with the same [dinv]).  Without
-     [dinv] this is the historical axpy, bit for bit. *)
-  let take_step eta =
-    (match dinv with
-    | None -> Vec.axpy_into (-.eta) g y ~dst:!x_next
-    | Some dv ->
-        let xna = !x_next in
-        for i = 0 to dim - 1 do
-          Array.unsafe_set xna i
-            (Array.unsafe_get y i
-            -. (eta *. Array.unsafe_get dv i *. Array.unsafe_get g i))
-        done);
-    prox_into eta !x_next ~dst:!x_next
-  in
-  (* Backtracking line search on the smooth part (see Fista.solve_into):
-     seed from the spectral estimate, halve on failure, mild growth
-     between iterations. *)
-  let bt_step = ref step in
-  let used_step = ref step in
-  let quad_gap eta =
-    let xna = !x_next in
-    let gd = ref 0. and dd = ref 0. in
-    (match dinv with
-    | None ->
-        for i = 0 to dim - 1 do
-          let d = Array.unsafe_get xna i -. Array.unsafe_get y i in
-          gd := !gd +. (Array.unsafe_get g i *. d);
-          dd := !dd +. (d *. d)
-        done
-    | Some dv ->
-        for i = 0 to dim - 1 do
-          let d = Array.unsafe_get xna i -. Array.unsafe_get y i in
-          gd := !gd +. (Array.unsafe_get g i *. d);
-          dd := !dd +. (d *. d /. Array.unsafe_get dv i)
-        done);
-    !gd +. (!dd /. (2. *. eta))
-  in
   if traced then
     Obs.span_begin sink label
       ~args:[ ("dim", Obs.Int dim); ("max_iter", Obs.Int max_iter) ];
   while (not !converged) && !iterations < max_iter do
     incr iterations;
     gradient_into y ~dst:g;
-    (match backtrack with
-    | None -> take_step step
-    | Some f ->
-        let fy = f y in
-        let slack = 1e-10 *. (abs_float fy +. 1.) in
-        let accepted = ref false in
-        let attempts = ref 0 in
-        while not !accepted do
-          incr attempts;
-          take_step !bt_step;
-          if
-            !attempts >= 30
-            || f !x_next <= fy +. quad_gap !bt_step +. slack
-          then accepted := true
-          else bt_step := !bt_step /. 2.
-        done;
-        used_step := !bt_step;
-        bt_step := !bt_step *. 1.25);
+    (* Preconditioned forward step x⁺ = prox_η(y − η·D⁻¹∇f(y)); the prox
+       callback sees the same η and is expected to apply the matching
+       metric (e.g. {!kl_prox_scaled_into} with the same [dinv]).
+       Without [dinv] this is the historical axpy, bit for bit. *)
+    (match dinv with
+    | None -> Vec.axpy_into (-.step) g y ~dst:!x_next
+    | Some dv ->
+        let xna = !x_next in
+        for i = 0 to dim - 1 do
+          Array.unsafe_set xna i
+            (Array.unsafe_get y i
+            -. (step *. Array.unsafe_get dv i *. Array.unsafe_get g i))
+        done);
+    prox_into step !x_next ~dst:!x_next;
     (* Fused restart/step/norm pass; see Fista.solve_into. *)
     let xa = !x and xna = !x_next in
     let restart_dot = ref 0. and delta_sq = ref 0. and xnext_sq = ref 0. in
@@ -123,7 +80,7 @@ let solve_into ?x0 ?(stop = Stop.default) ?scratch ?objective ?dinv ?backtrack
       Obs.iter sink ~solver:label ~iter:!iterations
         ~objective:
           (match objective with Some f -> f !x_next | None -> nan)
-        ~residual:(sqrt !delta_sq) ~step:!used_step ~restart ();
+        ~residual:(sqrt !delta_sq) ~step ~restart ();
     let tmp = !x in
     x := !x_next;
     x_next := tmp;

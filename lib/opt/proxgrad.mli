@@ -34,18 +34,14 @@ val scratch_size : int
     [dinv] applies diagonal preconditioning: the forward step becomes
     [y − step·D⁻¹∇f(y)] with [D = diag(1/dinv)], and [prox_into] must
     apply the prox in the same metric (see {!kl_prox_scaled_into});
-    [lipschitz] must bound the preconditioned curvature.  [backtrack]
-    (value of the smooth part) replaces the fixed [1/lipschitz] step
-    with a backtracking line search seeded by the spectral estimate;
-    see {!Fista.solve_into}.  Omitting both reproduces the historical
-    path bit for bit. *)
+    [lipschitz] must bound the preconditioned curvature.  Omitting it
+    reproduces the historical path bit for bit. *)
 val solve_into :
   ?x0:Tmest_linalg.Vec.t ->
   ?stop:Stop.t ->
   ?scratch:Tmest_linalg.Vec.t array ->
   ?objective:(Tmest_linalg.Vec.t -> float) ->
   ?dinv:Tmest_linalg.Vec.t ->
-  ?backtrack:(Tmest_linalg.Vec.t -> float) ->
   dim:int ->
   gradient_into:(Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->
   prox_into:(float -> Tmest_linalg.Vec.t -> dst:Tmest_linalg.Vec.t -> unit) ->

@@ -67,7 +67,6 @@ let create ~jobs =
   t
 
 let size t = t.size
-let sink t = t.sink
 let set_sink t s = t.sink <- s
 
 let submit t task =

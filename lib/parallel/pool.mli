@@ -34,10 +34,6 @@ val create : jobs:int -> t
 (** Number of participants (caller + workers), [>= 1]. *)
 val size : t -> int
 
-(** [sink t] is the pool's trace sink ({!Tmest_obs.Obs.null} unless a
-    driver installed one). *)
-val sink : t -> Tmest_obs.Obs.sink
-
 (** [set_sink t s] routes the pool's trace events — queue-depth counter
     samples on submission, a [pool.parallel_for] span per fan-out, a
     [pool.slot] span per participating domain and a [pool.chunk] span

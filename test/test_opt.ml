@@ -256,52 +256,6 @@ let test_proxgrad_entropy_solution () =
   check_float 1e-6 "stationarity" 0. ((2. *. (x -. 3.)) +. (2. *. log x))
 
 (* ------------------------------------------------------------------ *)
-(* Eqqp                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_eqqp_projection () =
-  (* min ||x - a||^2 s.t. sum x = 1 is a + (1 - sum a)/n. *)
-  let n = 3 in
-  let a = Vec.of_list [ 0.1; 0.5; 0.9 ] in
-  let h = Mat.scale 2. (Mat.identity n) in
-  let q = Vec.scale 2. a in
-  let c = Mat.of_rows [| [| 1.; 1.; 1. |] |] in
-  let d = Vec.of_list [ 1. ] in
-  let sol = Eqqp.solve h q c d in
-  let shift = (1. -. Vec.sum a) /. 3. in
-  Array.iteri
-    (fun i x -> check_float 1e-7 "projected" (a.(i) +. shift) x)
-    sol.Eqqp.x
-
-let test_eqqp_constraint_satisfied () =
-  let h = Mat.of_rows [| [| 2.; 0.5 |]; [| 0.5; 1. |] |] in
-  let q = Vec.of_list [ 1.; -1. ] in
-  let c = Mat.of_rows [| [| 1.; 2. |] |] in
-  let d = Vec.of_list [ 3. ] in
-  let sol = Eqqp.solve h q c d in
-  check_float 1e-7 "Cx = d" 3. (Vec.dot (Mat.row c 0) sol.Eqqp.x)
-
-let test_eqqp_nonneg () =
-  (* Unconstrained eq-solution has a negative coordinate; the nonneg
-     variant must pin it at zero and stay on the constraint. *)
-  let h = Mat.scale 2. (Mat.identity 2) in
-  let q = Vec.of_list [ 4.; -6. ] in
-  (* min (x-2)^2 + (y+3)^2 s.t. x + y = 1 -> unconstr (3,-2), pinned y=0. *)
-  let c = Mat.of_rows [| [| 1.; 1. |] |] in
-  let d = Vec.of_list [ 1. ] in
-  let sol = Eqqp.solve_nonneg h q c d in
-  check_float 1e-7 "x" 1. sol.Eqqp.x.(0);
-  check_float 1e-7 "y" 0. sol.Eqqp.x.(1)
-
-let test_eqqp_nonneg_matches_plain_when_interior () =
-  let h = Mat.scale 2. (Mat.identity 2) in
-  let q = Vec.of_list [ 2.; 2. ] in
-  let c = Mat.of_rows [| [| 1.; 1. |] |] in
-  let d = Vec.of_list [ 2. ] in
-  let a = Eqqp.solve h q c d and b = Eqqp.solve_nonneg h q c d in
-  Alcotest.(check bool) "same" true (Vec.equal ~eps:1e-7 a.Eqqp.x b.Eqqp.x)
-
-(* ------------------------------------------------------------------ *)
 (* Scaling (IPF / GIS)                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -440,11 +394,15 @@ let test_cg_operator_form () =
   Alcotest.(check bool) "solution" true
     (Vec.equal ~eps:1e-8 r.Cg.x (Vec.of_list [ 2.; 3.; 4. ]))
 
-let test_cg_lsqr_normal () =
+(* Least squares through the normal equations MᵀM x = Mᵀb — the shape
+   of the system Degrade's repair hands to CG. *)
+let test_cg_normal_equations () =
   let m = Mat.of_rows [| [| 1.; 0. |]; [| 1.; 1. |]; [| 1.; 2. |] |] in
   let b = Vec.of_list [ 1.; 3.; 5. ] in
   let r =
-    Cg.lsqr_normal ~matvec:(Mat.matvec m) ~tmatvec:(Mat.tmatvec m) ~b ()
+    Cg.solve
+      ~apply:(fun v -> Mat.tmatvec m (Mat.matvec m v))
+      ~b:(Mat.tmatvec m b) ()
   in
   let x_qr = Qr.solve_lstsq m b in
   Alcotest.(check bool) "matches QR least squares" true
@@ -535,21 +493,12 @@ let () =
           Alcotest.test_case "entropy solution" `Quick
             test_proxgrad_entropy_solution;
         ] );
-      ( "eqqp",
-        [
-          Alcotest.test_case "projection" `Quick test_eqqp_projection;
-          Alcotest.test_case "constraint satisfied" `Quick
-            test_eqqp_constraint_satisfied;
-          Alcotest.test_case "nonneg active set" `Quick test_eqqp_nonneg;
-          Alcotest.test_case "nonneg interior" `Quick
-            test_eqqp_nonneg_matches_plain_when_interior;
-        ] );
       ( "cg",
         [
           Alcotest.test_case "matches cholesky" `Quick test_cg_matches_cholesky;
           Alcotest.test_case "n-step exact" `Quick test_cg_exact_in_n_steps;
           Alcotest.test_case "operator form" `Quick test_cg_operator_form;
-          Alcotest.test_case "normal equations" `Quick test_cg_lsqr_normal;
+          Alcotest.test_case "normal equations" `Quick test_cg_normal_equations;
         ] );
       ( "projections",
         [

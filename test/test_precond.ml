@@ -1,5 +1,5 @@
-(* Preconditioner stack: exact operator diagonals, SPD-ness of the CG
-   preconditioners, preconditioned-vs-classic CG agreement, and the
+(* Preconditioner stack: the exact Gram diagonal every Jacobi metric is
+   built from, the [Precond_auto] resolution policy, and the
    Jacobi-preconditioned golden MREs at jobs = 1 and 2.
 
    Regenerate the Jacobi goldens after an intentional numerical change
@@ -8,9 +8,6 @@
 module Vec = Tmest_linalg.Vec
 module Mat = Tmest_linalg.Mat
 module Csr = Tmest_linalg.Csr
-module Op = Tmest_linalg.Op
-module Cg = Tmest_opt.Cg
-module Stop = Tmest_opt.Stop
 module Rng = Tmest_stats.Rng
 module Core = Tmest_core
 module Workspace = Tmest_core.Workspace
@@ -20,7 +17,7 @@ module Spec = Tmest_traffic.Spec
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* ----------------------------------------------------- op diagonals *)
+(* --------------------------------------------------- gram diagonal *)
 
 let random_csr rng ~rows ~cols =
   let entries = ref [] in
@@ -36,148 +33,89 @@ let random_csr rng ~rows ~cols =
   done;
   Csr.of_triplets ~rows ~cols !entries
 
-let brute_normal_diag m =
-  let d = Mat.gram (Csr.to_dense m) in
-  Vec.init (Csr.cols m) (fun i -> Mat.get d i i)
+let dense_gram_diag m =
+  let g = Mat.gram (Csr.to_dense m) in
+  Vec.init (Csr.cols m) (fun i -> Mat.get g i i)
 
-let op_diagonals () =
+let check_diag label want got =
+  Alcotest.(check int) (label ^ " length") (Vec.dim want) (Vec.dim got);
+  Array.iteri (fun i wi -> check_float label wi got.(i)) want
+
+(* [Workspace.gram_diag] — one O(nnz) pass of [Csr.col_sq_norms] —
+   against the diagonal of the dense RᵀR, on the production path in
+   both solver modes. *)
+let gram_diagonal () =
   let rng = Rng.create 42 in
   let m = random_csr rng ~rows:23 ~cols:17 in
-  let op = Op.of_csr m in
-  (* Exact normal diagonal from one CSR pass vs the dense reference. *)
-  (match Op.normal_diagonal op with
-  | None -> Alcotest.fail "of_csr must expose a normal diagonal"
-  | Some d ->
-      let want = brute_normal_diag m in
-      Array.iteri (fun i di -> check_float "csr normal diag" want.(i) di) d);
-  (* The composed normal operator inherits it as its plain diagonal. *)
-  (match Op.diagonal (Op.normal op) with
-  | None -> Alcotest.fail "normal op must expose its diagonal"
-  | Some d ->
-      let want = brute_normal_diag m in
-      Array.iteri (fun i di -> check_float "normal op diag" want.(i) di) d);
-  (* shift/scale keep the diagonal exact. *)
-  let g = Op.shift (Op.scale 2. (Op.normal op)) 0.75 in
-  (match Op.diagonal g with
-  | None -> Alcotest.fail "shifted op must keep its diagonal"
-  | Some d ->
-      let want = brute_normal_diag m in
-      Array.iteri
-        (fun i di -> check_float "shifted diag" ((2. *. want.(i)) +. 0.75) di)
-        d);
-  (* precondition: D^{-1/2} A D^{-1/2} has unit diagonal when D = diag A. *)
-  let d = Option.get (Op.diagonal g) in
-  let pg = Op.precondition g d in
-  match Op.diagonal pg with
-  | None -> Alcotest.fail "preconditioned op must keep its diagonal"
-  | Some pd -> Array.iter (fun di -> check_float "unit diagonal" 1. di) pd
+  check_diag "col_sq_norms" (dense_gram_diag m) (Csr.col_sq_norms m);
+  let d = Dataset.europe () in
+  let routing = d.Dataset.routing in
+  let dense = Workspace.create ~mode:Workspace.Dense routing in
+  let g = Workspace.gram dense in
+  check_diag "dense workspace"
+    (Vec.init (Mat.rows g) (fun i -> Mat.get g i i))
+    (Workspace.gram_diag dense);
+  let sparse = Workspace.create ~mode:Workspace.Sparse routing in
+  Alcotest.(check bool) "forced sparse" true (Workspace.is_sparse sparse);
+  check_diag "sparse workspace"
+    (dense_gram_diag routing.Tmest_net.Routing.matrix)
+    (Workspace.gram_diag sparse)
 
-(* ------------------------------------------------ SPD preconditioners *)
+(* ------------------------------------------------------ auto policy *)
 
-(* A sparse-mode workspace large enough to have non-trivial per-source
-   blocks. *)
-let sparse_ws () =
-  let d = Dataset.synthetic ~pops:60 () in
-  let ws = Workspace.create d.Dataset.routing in
-  Alcotest.(check bool) "sparse mode" true (Workspace.is_sparse ws);
-  (d, ws)
-
-let minv_spd () =
-  let d, ws = sparse_ws () in
-  let p = Dataset.num_pairs d in
-  let rng = Rng.create 7 in
-  let rand () = Vec.init p (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-  let appliers =
-    ("jacobi", fun r ~dst -> Workspace.jacobi_cg_minv ws ~shift:0.5 r ~dst)
-    ::
-    (match Workspace.block_jacobi_cg_minv ws ~shift:0.5 with
-    | Some f -> [ ("block", f) ]
-    | None -> Alcotest.fail "block preconditioner within budget at 60 PoPs")
+let europe_problem () =
+  let d = Dataset.europe () in
+  let spec = d.Dataset.spec in
+  let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
+  let ks = Array.of_list (Dataset.busy_samples d) in
+  let window = 10 in
+  let ks = Array.sub ks (Array.length ks - window) window in
+  let samples =
+    Mat.init window (Dataset.num_links d) (fun i j ->
+        (Dataset.link_loads_at d ks.(i)).(j))
   in
-  List.iter
-    (fun (name, minv) ->
-      let u = rand () and v = rand () in
-      let mu = Vec.zeros p and mv = Vec.zeros p in
-      minv u ~dst:mu;
-      minv v ~dst:mv;
-      (* Symmetry: <u, M⁻¹v> = <M⁻¹u, v>. *)
-      let uv = Vec.dot u mv and vu = Vec.dot mu v in
-      let scale = 1. +. abs_float uv in
-      Alcotest.(check bool)
-        (name ^ " symmetric") true
-        (abs_float (uv -. vu) /. scale < 1e-10);
-      (* Positive definiteness on random nonzero vectors. *)
-      Alcotest.(check bool) (name ^ " positive") true (Vec.dot u mu > 0.);
-      (* Linearity (the appliers must not mutate hidden state): applying
-         to u + v matches the sum of the images. *)
-      let s = Vec.add u v in
-      let ms = Vec.zeros p in
-      minv s ~dst:ms;
-      Array.iteri
-        (fun i si ->
-          Alcotest.(check (float 1e-10)) (name ^ " linear") (mu.(i) +. mv.(i))
-            si)
-        ms)
-    appliers
+  (d, k, Dataset.link_loads_at d k, samples)
 
-(* ------------------------------------------------------- pcg vs cg *)
-
-let pcg_matches_cg () =
-  let rng = Rng.create 19 in
-  let dim = 40 in
-  let b0 = Mat.init dim dim (fun _ _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-  (* SPD with a deliberately skewed diagonal so Jacobi has something to
-     normalize. *)
-  let a = Mat.gram b0 in
-  for i = 0 to dim - 1 do
-    Mat.set a i i (Mat.get a i i +. (1. +. (10. *. float_of_int i)))
-  done;
-  let b = Vec.init dim (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-  let apply_into x ~dst = Mat.matvec_into a x ~dst in
-  let stop = Stop.make ~tol:1e-13 ~max_iter:(4 * dim) () in
-  let plain = Cg.solve_into ~stop ~apply_into ~b () in
-  let dinv = Vec.init dim (fun i -> 1. /. Mat.get a i i) in
-  let m_inv_into r ~dst = Vec.mul_into dinv r ~dst in
-  let pcg = Cg.solve_into ~stop ~m_inv_into ~apply_into ~b () in
-  Alcotest.(check bool) "cg converged" true plain.Cg.converged;
-  Alcotest.(check bool) "pcg converged" true pcg.Cg.converged;
-  Array.iteri (fun i xi -> check_float "solution" plain.Cg.x.(i) xi) pcg.Cg.x;
-  (* On a diagonally skewed system Jacobi must pay for itself. *)
-  Alcotest.(check bool)
-    "pcg iterations no worse" true
-    (pcg.Cg.iterations <= plain.Cg.iterations);
-  (* The workspace preconditioners drive the same agreement on the real
-     shifted normal equations G + shift·I. *)
-  let d, ws = sparse_ws () in
-  let p = Dataset.num_pairs d in
-  let shift = 0.3 in
-  let normal = Workspace.normal_op ws in
-  let g_shift = Op.shift normal shift in
-  let apply_into x ~dst = Op.apply_into g_shift x ~dst in
-  let rng = Rng.create 23 in
-  let b = Vec.init p (fun _ -> Rng.uniform rng ~lo:0. ~hi:1.) in
-  let stop = Stop.make ~tol:1e-12 ~max_iter:(2 * p) () in
-  let plain = Cg.solve_into ~stop ~apply_into ~b () in
-  let jacobi =
-    Cg.solve_into ~stop
-      ~m_inv_into:(fun r ~dst -> Workspace.jacobi_cg_minv ws ~shift r ~dst)
-      ~apply_into ~b ()
+(* [Precond_auto] pinned bit for bit against the explicit kinds it
+   must resolve to: Jacobi for the quadratic solvers on a sparse
+   workspace, none for entropy/fanout there, and none for all six on a
+   dense one. *)
+let auto_policy () =
+  let d, _, loads, samples = europe_problem () in
+  let solve ws name precond =
+    let opts = Core.Estimator.Options.make ~precond () in
+    Core.Estimator.solve ~opts (Core.Estimator.of_name name) ws ~loads
+      ~load_samples:samples
   in
-  let block_minv =
-    match Workspace.block_jacobi_cg_minv ws ~shift with
-    | Some f -> f
-    | None -> Alcotest.fail "block preconditioner within budget at 60 PoPs"
+  let same label a b =
+    Alcotest.(check int) (label ^ " length") (Vec.dim a) (Vec.dim b);
+    Alcotest.(check bool) label true
+      (Array.for_all2
+         (fun x y ->
+           Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b)
   in
-  let block = Cg.solve_into ~stop ~m_inv_into:block_minv ~apply_into ~b () in
-  Alcotest.(check bool) "normal cg converged" true plain.Cg.converged;
-  List.iter
-    (fun (name, (r : Cg.result)) ->
-      Alcotest.(check bool) (name ^ " converged") true r.Cg.converged;
-      Array.iteri
-        (fun i xi ->
-          Alcotest.(check (float 1e-7)) (name ^ " solution") plain.Cg.x.(i) xi)
-        r.Cg.x)
-    [ ("jacobi", jacobi); ("block", block) ]
+  let tag = function Workspace.Precond_jacobi -> "jacobi" | _ -> "none" in
+  let check mode expected =
+    let ws = Workspace.create ~mode d.Dataset.routing in
+    List.iter
+      (fun (name, kind) ->
+        same
+          (Printf.sprintf "%s auto = %s" name (tag kind))
+          (solve ws name kind)
+          (solve ws name Workspace.Precond_auto))
+      expected
+  in
+  let jacobi = Workspace.Precond_jacobi and none = Workspace.Precond_none in
+  check Workspace.Sparse
+    [
+      ("bayes", jacobi); ("vardi", jacobi); ("cao", jacobi);
+      ("cumulant", jacobi); ("entropy", none); ("fanout", none);
+    ];
+  check Workspace.Dense
+    (List.map
+       (fun name -> (name, none))
+       [ "bayes"; "vardi"; "cao"; "cumulant"; "entropy"; "fanout" ])
 
 (* --------------------------------------- jacobi goldens, jobs = 1/2 *)
 
@@ -195,23 +133,13 @@ let jacobi_goldens =
   ]
 
 let jacobi_mres ~jobs =
-  let d = Dataset.europe () in
+  let d, k, loads, samples = europe_problem () in
   let pool = Pool.create ~jobs in
   let ws =
     Workspace.create ~pool ~mode:Workspace.Sparse d.Dataset.routing
   in
-  let spec = d.Dataset.spec in
-  let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
   let truth = Dataset.demand_at d k in
   let busy_truth = Dataset.busy_mean_demand d in
-  let loads = Dataset.link_loads_at d k in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let window = 10 in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
   let opts =
     Core.Estimator.Options.make ~precond:Workspace.Precond_jacobi ()
   in
@@ -250,11 +178,9 @@ let () =
   Alcotest.run "precond"
     [
       ( "operators",
-        [ Alcotest.test_case "exact diagonals" `Quick op_diagonals ] );
-      ( "minv",
-        [ Alcotest.test_case "spd" `Quick minv_spd ] );
-      ( "cg",
-        [ Alcotest.test_case "pcg matches cg" `Quick pcg_matches_cg ] );
+        [ Alcotest.test_case "exact diagonals" `Quick gram_diagonal ] );
+      ( "policy",
+        [ Alcotest.test_case "auto resolution" `Quick auto_policy ] );
       ( "golden",
         [
           Alcotest.test_case "jacobi jobs=1" `Quick (jacobi_golden ~jobs:1);

@@ -134,56 +134,25 @@ let test_op_adjoint () =
            (Mat.matvec (Mat.transpose dense) y))
 
 let test_op_normal () =
-  Prop.run ~seed:503 ~count:60 ~name:"normal op = explicit Gram" sparse_gen
+  (* The fused normal-equations kernel behind [Workspace.normal_op] and
+     the operator-form spectral estimate behind [Workspace.op_norm],
+     against the explicit Gram. *)
+  Prop.run ~seed:503 ~count:60 ~name:"normal apply = explicit Gram" sparse_gen
     (fun (m, x) ->
-      let n = Op.normal (Op.of_csr m) in
-      let g = Csr.gram m in
-      Prop.vec_close ~tol:1e-9 (Op.apply n x) (Mat.matvec g x)
-      (* symmetric: apply_t is apply *)
-      && Prop.vec_close ~tol:1e-12 (Op.apply n x) (Op.apply_t n x));
-  Prop.run ~seed:504 ~count:40 ~name:"norm2_est = dense power iteration"
+      let link = Vec.zeros (Csr.rows m) and dst = Vec.zeros (Csr.cols m) in
+      Csr.normal_apply_into m x ~link ~dst;
+      Prop.vec_close ~tol:1e-9 dst (Mat.matvec (Csr.gram m) x));
+  Prop.run ~seed:504 ~count:40 ~name:"lipschitz_of_op = dense power iteration"
     sparse_gen
     (fun (m, _x) ->
-      let est = Op.norm2_est (Op.normal (Op.of_csr m)) in
+      let est =
+        Tmest_opt.Fista.lipschitz_of_op ~dim:(Csr.cols m) (fun v ->
+            Csr.tmatvec m (Csr.matvec m v))
+      in
       let dense = Tmest_opt.Fista.lipschitz_of_gram (Csr.gram m) in
       (* Same start vector, iteration count and margin — only the
          floating-point association differs between the two paths. *)
       Prop.close ~tol:1e-6 est dense)
-
-let test_op_compositions () =
-  let square_gen rng =
-    let n = Prop.int_in ~lo:1 ~hi:24 rng in
-    ( Mat.init n n (fun _ _ -> Prop.float_in ~lo:(-2.) ~hi:2. rng),
-      Prop.vec ~lo:(-3.) ~hi:3. n rng,
-      Prop.vec ~lo:(-3.) ~hi:3. n rng,
-      Prop.float_in ~lo:(-2.) ~hi:2. rng )
-  in
-  Prop.run ~seed:505 ~count:60 ~name:"diag/shift/add/outer vs dense"
-    square_gen
-    (fun (a, d, x, c) ->
-      let n = Array.length d in
-      let op = Op.of_mat a in
-      Prop.vec_close ~tol:1e-12 (Op.apply (Op.diag d) x) (Vec.mul d x)
-      && Prop.vec_close ~tol:1e-12
-           (Op.apply (Op.shift op c) x)
-           (Vec.axpy c x (Mat.matvec a x))
-      && Prop.vec_close ~tol:1e-12
-           (Op.apply (Op.add_diag op d) x)
-           (Vec.add (Mat.matvec a x) (Vec.mul d x))
-      && Prop.vec_close ~tol:1e-12
-           (Op.apply (Op.add op (Op.scale c (Op.identity n))) x)
-           (Vec.axpy c x (Mat.matvec a x))
-      && Prop.vec_close ~tol:1e-12
-           (Op.apply (Op.outer d x) x)
-           (Vec.scale (Vec.dot x x) d));
-  (* Hutchinson on a diagonal operator is exact for every sample count:
-     z^T D z = sum_i d_i z_i^2 = trace D for Rademacher z. *)
-  Prop.run ~seed:506 ~count:60 ~name:"trace_est exact on diagonals"
-    (fun rng ->
-      ( Prop.vec ~lo:(-4.) ~hi:4. (Prop.int_in ~lo:1 ~hi:50 rng) rng,
-        Prop.int_in ~lo:1 ~hi:8 rng ))
-    (fun (d, samples) ->
-      Prop.close ~tol:1e-9 (Op.trace_est ~samples (Op.diag d)) (Vec.sum d))
 
 let test_workspace_sparse_ops () =
   (* The workspace's cached operators against the dense artifacts a
@@ -303,7 +272,6 @@ let () =
         [
           Alcotest.test_case "adjoint" `Quick test_op_adjoint;
           Alcotest.test_case "normal equations" `Quick test_op_normal;
-          Alcotest.test_case "compositions" `Quick test_op_compositions;
           Alcotest.test_case "workspace sparse ops" `Quick
             test_workspace_sparse_ops;
         ] );

@@ -79,48 +79,6 @@ let test_headroom () =
   check_float 1e-9 "busiest first" 0.9 u
 
 (* ------------------------------------------------------------------ *)
-(* Failure analysis                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_failure_sweep_covers_all_links () =
-  let t = triangle () in
-  let p = Odpairs.count 3 in
-  let demands = Vec.create p 1e8 in
-  let events = Failure_analysis.sweep t ~demands in
-  Alcotest.(check int) "one event per interior link" 6 (List.length events);
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "no partition in a ring" false
-        e.Failure_analysis.partitioned;
-      check_float 1e-6 "failed link empty" 0.
-        e.Failure_analysis.report.Utilization.utilization.(e.Failure_analysis.failed_link))
-    events
-
-let test_failure_worst_is_max () =
-  let d = Lazy.force small_dataset in
-  let demands = Tmest_traffic.Dataset.busy_mean_demand d in
-  let topo = d.Tmest_traffic.Dataset.topo in
-  let events = Failure_analysis.sweep topo ~demands in
-  let w = Failure_analysis.worst topo ~demands in
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "worst dominates" true
-        (e.Failure_analysis.report.Utilization.max_utilization
-        <= w.Failure_analysis.report.Utilization.max_utilization +. 1e-9))
-    events
-
-let test_overload_agreement_self () =
-  let d = Lazy.force small_dataset in
-  let demands = Tmest_traffic.Dataset.busy_mean_demand d in
-  let topo = d.Tmest_traffic.Dataset.topo in
-  let events = Failure_analysis.sweep topo ~demands in
-  let both, only_a, only_b =
-    Failure_analysis.overload_agreement ~threshold:0.5 events events
-  in
-  Alcotest.(check int) "no disagreement with self" 0 (only_a + only_b);
-  Alcotest.(check bool) "some overloads found" true (both >= 0)
-
-(* ------------------------------------------------------------------ *)
 (* Weight optimization                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -199,12 +157,6 @@ let () =
           Alcotest.test_case "cost shape" `Quick test_congestion_cost_shape;
           Alcotest.test_case "report" `Quick test_utilization_report;
           Alcotest.test_case "headroom" `Quick test_headroom;
-        ] );
-      ( "failure",
-        [
-          Alcotest.test_case "sweep" `Quick test_failure_sweep_covers_all_links;
-          Alcotest.test_case "worst" `Quick test_failure_worst_is_max;
-          Alcotest.test_case "agreement" `Quick test_overload_agreement_self;
         ] );
       ( "weights",
         [
