@@ -14,8 +14,10 @@
    BENCH_solvers.json (per-iteration solver allocations, full-method
    timings with the warm-start cache, and the cold-vs-warm window-scan
    meso-benchmark) and BENCH_parallel.json (the multicore fan-out sweep
-   over jobs in {1, 2, 4, #cores}).  [--perf --fast] is the CI smoke
-   variant: kernels and solvers only, reduced context and quota.
+   over jobs in {1, 2, 4, #cores}).  It exits 1 when FISTA, proxgrad
+   or CG allocate more than 2, 4 or 10 minor words per iteration.
+   [--perf --fast] is the CI smoke variant: kernels and solvers only,
+   reduced context and quota.
 
    [--scale] runs the scaling-law sweep over synthetic hierarchical
    backbones (PoPs x method, both sides of the workspace sparse gate)
@@ -343,7 +345,26 @@ let solvers_json ~fast () =
     alloc_rows;
   List.iter
     (fun (name, ns) -> Printf.printf "%-20s %12.0f ns/op\n" name ns)
-    ns_rows
+    ns_rows;
+  (* Ceilings at the solver cores' measured per-iteration allocation
+     with tracing disabled: a value above one means a hot path started
+     allocating. *)
+  let ceilings = [ ("fista", 2.); ("proxgrad", 4.); ("cg", 10.) ] in
+  let over =
+    List.filter
+      (fun (name, words) -> words > List.assoc name ceilings)
+      alloc_rows
+  in
+  if over <> [] then begin
+    List.iter
+      (fun (name, words) ->
+        Printf.eprintf
+          "perf assertion FAILED: %s allocates %.1f minor words/iter \
+           (ceiling %.0f)\n"
+          name words (List.assoc name ceilings))
+      over;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Multicore fan-out sweep (BENCH_parallel.json)                       *)

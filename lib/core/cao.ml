@@ -60,19 +60,7 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
     end
   in
   let rt_t = Csr.tmatvec routing.Routing.matrix t_hat in
-  let rt = Workspace.transpose ws in
-  let v = Vec.zeros p in
-  for pair = 0 to p - 1 do
-    let links = Csr.row_nonzeros rt pair in
-    let acc = ref 0. in
-    List.iter
-      (fun (i, ri) ->
-        List.iter
-          (fun (j, rj) -> acc := !acc +. (ri *. rj *. Mat.get sigma_hat i j))
-          links)
-      links;
-    v.(pair) <- !acc
-  done;
+  let v = Problem.path_variances (Workspace.transpose ws) sigma_hat in
   let w = sigma_inv2 in
   (* All per-iteration work — u(λ), matrix-vector products, gradient,
      line-search candidates — lives in one pooled buffer set. *)

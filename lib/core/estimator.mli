@@ -94,8 +94,9 @@ module Options : sig
             The default [Precond_auto] resolves per method to the
             measured best configuration: Jacobi for the quadratic
             solvers (bayes, vardi, cao) in sparse mode, none in dense
-            mode (keeping the historical dense results bit-identical),
-            and none for entropy/fanout whose prox geometries measured
+            mode (so the default leaves dense-mode solves, the paper
+            networks included, unpreconditioned), and none for
+            entropy/fanout whose prox geometries measured
             slower under the diagonal metric.  Preconditioned solves
             converge to the same optimum within the solver tolerance
             but are {e not} bit-identical to unpreconditioned ones;

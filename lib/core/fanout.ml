@@ -116,7 +116,8 @@ let estimate ?x0 ?(stop = Stop.default) ?(precond = Workspace.Precond_none) ws
             Mat.unsafe_get g i j *. Mat.get w src_of.(i) src_of.(j))
       in
       let apply_h_into a ~dst = Mat.matvec_into h a ~dst in
-      (apply_h_into, 2. *. Workspace.lipschitz_of_matrix ws h)
+      ( apply_h_into,
+        2. *. Workspace.lipschitz_of_op ws ~dim:p (Mat.matvec h) )
     end
   in
   let gradient_into a ~dst =

@@ -2,6 +2,8 @@ let log_src =
   Logs.Src.create "tmest.core" ~doc:"Traffic-matrix estimation solvers"
 
 module Vec = Tmest_linalg.Vec
+module Mat = Tmest_linalg.Mat
+module Csr = Tmest_linalg.Csr
 module Routing = Tmest_net.Routing
 module Topology = Tmest_net.Topology
 
@@ -18,7 +20,17 @@ let total_traffic routing ~loads =
   done;
   !acc
 
-let gram routing = Workspace.gram (Workspace.create routing)
+let path_variances rt sigma =
+  Array.init (Csr.rows rt) (fun pair ->
+      let links = Csr.row_nonzeros rt pair in
+      let acc = ref 0. in
+      List.iter
+        (fun (i, ri) ->
+          List.iter
+            (fun (j, rj) -> acc := !acc +. (ri *. rj *. Mat.get sigma i j))
+            links)
+        links;
+      !acc)
 
 let residual_norm routing ~loads estimate =
   check_dims routing ~loads;

@@ -13,12 +13,11 @@ val total_traffic : Tmest_net.Routing.t -> loads:Tmest_linalg.Vec.t -> float
 (** [check_dims routing ~loads] validates the load vector length. *)
 val check_dims : Tmest_net.Routing.t -> loads:Tmest_linalg.Vec.t -> unit
 
-(** [gram routing] is the dense [RᵀR] of the routing matrix.
-    Compatibility wrapper: delegates to a throwaway {!Workspace}, so
-    each call still pays the full product.  Repeated solvers should
-    hold a [Workspace.t] and use {!Workspace.gram}, which computes the
-    product once per routing context. *)
-val gram : Tmest_net.Routing.t -> Tmest_linalg.Mat.t
+(** [path_variances rt sigma] is [v] with [v.(p) = r_pᵀ Σ r_p]: the
+    link covariance [sigma] ([L x L]) summed along OD pair [p]'s route,
+    where [r_p] is row [p] of the transposed routing matrix [rt] — the
+    second-moment right-hand side of the Vardi and Cao estimators. *)
+val path_variances : Tmest_linalg.Csr.t -> Tmest_linalg.Mat.t -> Tmest_linalg.Vec.t
 
 (** [residual_norm routing ~loads estimate] is [‖R s − t‖ / ‖t‖]:
     how consistent an estimate is with the link measurements. *)

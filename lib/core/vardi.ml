@@ -35,25 +35,12 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
   let t_hat, sigma_hat = Desc.sample_mean_cov samples in
   let w = sigma_inv2 in
   (* Linear term/2 = Rᵀ t̂ + w * v with v_p = r_pᵀ Σ̂ r_p. *)
-  let rt = Workspace.transpose ws in
-  let v = Vec.zeros p in
-  for pair = 0 to p - 1 do
-    let links = Csr.row_nonzeros rt pair in
-    let acc = ref 0. in
-    List.iter
-      (fun (i, ri) ->
-        List.iter
-          (fun (j, rj) -> acc := !acc +. (ri *. rj *. Mat.get sigma_hat i j))
-          links)
-      links;
-    v.(pair) <- !acc
-  done;
+  let v = Problem.path_variances (Workspace.transpose ws) sigma_hat in
   let lin = Vec.axpy w v (Csr.tmatvec routing.Routing.matrix t_hat) in
   (* Hessian/2 = H₀ = G + w * (G entry-wise squared); grad = 2 (H₀ x −
-     lin).  Dense mode materializes H₀ (bit-identical to the historical
-     path); sparse mode applies it matrix-free as
-     normal_op + w · gram_sq_op, never touching a p x p matrix. *)
-  let pool = Workspace.pool ws in
+     lin).  H₀ is applied matrix-free in both modes as
+     normal_op + w · gram_sq_op, never touching a p x p matrix: on the
+     paper networks this beats rebuilding and multiplying a dense H₀. *)
   (* Exact curvature diagonal: diag(2H₀)_i = 2(g_i + w·g_i²), since the
      (i,i) entry of G entry-wise squared is g_i². *)
   let dinv =
@@ -70,85 +57,46 @@ let estimate ?x0 ?(stop = Stop.default) ?(unit_bps = 1e6)
                    if d > 0. then 1. /. d else 1.)
                  (Workspace.gram_diag ws)))
   in
-  let gradient_into, lipschitz, objective =
-    if Workspace.is_sparse ws then begin
-      let normal = Workspace.normal_op ws in
-      let gsq = Workspace.gram_sq_op ws in
-      let tmp = (Workspace.scratch ws ~name:"vardi.h0" ~dim:p ~count:1).(0) in
-      let apply_h0_into x ~dst =
-        Op.apply_into normal x ~dst;
-        Op.apply_into gsq x ~dst:tmp;
-        Vec.axpy_into w tmp dst ~dst
-      in
-      let gradient_into x ~dst =
-        apply_h0_into x ~dst;
-        Vec.sub_into dst lin ~dst;
-        Vec.scale_into 2. dst ~dst
-      in
-      let lipschitz =
-        match dinv with
-        | None ->
-            2.
-            *. Workspace.cached_lipschitz ws
-                 ~key:(Printf.sprintf "vardi.h0op:%h" w)
-                 ~compute:(fun () ->
-                   Fista.lipschitz_of_op ~dim:p (fun x ->
-                       let dst = Vec.zeros p in
-                       apply_h0_into x ~dst;
-                       dst))
-        | Some dinv ->
-            2.
-            *. Workspace.cached_lipschitz ws
-                 ~key:(Printf.sprintf "vardi.h0op.jacobi:%h" w)
-                 ~compute:(fun () ->
-                   let ds = Vec.map sqrt dinv in
-                   Fista.lipschitz_of_op ~dim:p (fun x ->
-                       let dst = Vec.zeros p in
-                       apply_h0_into (Vec.mul ds x) ~dst;
-                       Vec.mul ds dst))
-      in
-      (* Traced runs only; allocates freely. *)
-      let objective x =
-        let hx = Vec.zeros p in
-        apply_h0_into x ~dst:hx;
-        Vec.dot x hx -. (2. *. Vec.dot lin x)
-      in
-      (gradient_into, lipschitz, objective)
-    end
-    else begin
-      let g = Workspace.gram ws in
-      let h0 =
-        Mat.init p p (fun i j ->
-            let gij = Mat.unsafe_get g i j in
-            gij +. (w *. gij *. gij))
-      in
-      let gradient_into x ~dst =
-        Mat.matvec_into ?pool h0 x ~dst;
-        Vec.sub_into dst lin ~dst;
-        Vec.scale_into 2. dst ~dst
-      in
-      let lipschitz =
-        match dinv with
-        | None ->
-            2.
-            *. Workspace.cached_lipschitz ws
-                 ~key:(Printf.sprintf "vardi.h0:%h" w)
-                 ~compute:(fun () -> Fista.lipschitz_of_gram h0)
-        | Some dinv ->
-            2.
-            *. Workspace.cached_lipschitz ws
-                 ~key:(Printf.sprintf "vardi.h0.jacobi:%h" w)
-                 ~compute:(fun () ->
-                   let ds = Vec.map sqrt dinv in
-                   Fista.lipschitz_of_op ~dim:p (fun x ->
-                       Vec.mul ds (Mat.matvec h0 (Vec.mul ds x))))
-      in
-      (* Traced runs only; allocates freely. *)
-      let objective x =
-        Vec.dot x (Mat.matvec h0 x) -. (2. *. Vec.dot lin x)
-      in
-      (gradient_into, lipschitz, objective)
-    end
+  let normal = Workspace.normal_op ws in
+  let gsq = Workspace.gram_sq_op ws in
+  let tmp = (Workspace.scratch ws ~name:"vardi.h0" ~dim:p ~count:1).(0) in
+  let apply_h0_into x ~dst =
+    Op.apply_into normal x ~dst;
+    Op.apply_into gsq x ~dst:tmp;
+    Vec.axpy_into w tmp dst ~dst
+  in
+  let gradient_into x ~dst =
+    apply_h0_into x ~dst;
+    Vec.sub_into dst lin ~dst;
+    Vec.scale_into 2. dst ~dst
+  in
+  let lipschitz =
+    match dinv with
+    | None ->
+        2.
+        *. Workspace.cached_lipschitz ws
+             ~key:(Printf.sprintf "vardi.h0op:%h" w)
+             ~compute:(fun () ->
+               Fista.lipschitz_of_op ~dim:p (fun x ->
+                   let dst = Vec.zeros p in
+                   apply_h0_into x ~dst;
+                   dst))
+    | Some dinv ->
+        2.
+        *. Workspace.cached_lipschitz ws
+             ~key:(Printf.sprintf "vardi.h0op.jacobi:%h" w)
+             ~compute:(fun () ->
+               let ds = Vec.map sqrt dinv in
+               Fista.lipschitz_of_op ~dim:p (fun x ->
+                   let dst = Vec.zeros p in
+                   apply_h0_into (Vec.mul ds x) ~dst;
+                   Vec.mul ds dst))
+  in
+  (* Traced runs only; allocates freely. *)
+  let objective x =
+    let hx = Vec.zeros p in
+    apply_h0_into x ~dst:hx;
+    Vec.dot x hx -. (2. *. Vec.dot lin x)
   in
   (* Warm starts arrive in bits/s; the solver works in counting units. *)
   let x0 = Option.map (fun v0 -> Vec.scale (1. /. unit_bps) v0) x0 in

@@ -10,7 +10,9 @@
     Both terms are quadratic in [λ] (the Frobenius term has Hessian
     [(RᵀR) ∘ (RᵀR)], the entry-wise square of the Gram matrix), so the
     problem is a non-negative quadratic program solved by accelerated
-    projected gradient.  [σ⁻² ∈ (0, 1]] expresses faith in the Poisson
+    projected gradient, with the Hessian applied matrix-free
+    ({!Workspace.normal_op} plus {!Workspace.gram_sq_op}) in both
+    workspace modes.  [σ⁻² ∈ (0, 1]] expresses faith in the Poisson
     assumption ([σ⁻² = 1] trusts it fully).
 
     Traffic is rescaled internally so the *counting units* are

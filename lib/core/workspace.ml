@@ -17,14 +17,14 @@ type mode = Auto | Dense | Sparse
 (* Preconditioner policy, resolved per workspace.  [Precond_auto] picks
    Jacobi in sparse mode — where iteration counts dominate wall-clock
    and the exact Gram diagonal is one O(nnz) pass — and none in dense
-   mode, keeping every historical dense golden result bit-identical. *)
+   mode, which is what the dense golden pins were taken with. *)
 type precond_kind = Precond_auto | Precond_jacobi | Precond_none
 
 (* Above this many OD pairs the dense artifacts (Gram, R, Cholesky,
    eigen) become the memory bottleneck — a 10⁴-pair Gram is ~1 GB — so
    [Auto] switches the workspace to matrix-free operators.  The paper
-   networks (132 and 600 pairs) stay far below the gate, keeping every
-   historical dense code path and its golden results bit-identical. *)
+   networks (132 and 600 pairs) stay far below the gate, so the dense
+   fast paths that remain (Cao, Fanout, Degrade) keep their goldens. *)
 let sparse_gate = 2048
 
 (* Internal mutable counters; snapshots exposed as immutable records.
@@ -43,14 +43,13 @@ type counters = {
   c_op : c;
   c_lipschitz : c;
   c_prior : c;
-  c_total : c;
   c_solve : c;
   c_warm : c;
   c_precond : c;
 }
 
-(* Load-keyed caches are bounded MRU lists: snapshot sweeps reuse the
-   same few load vectors and hit; long scans (e.g. the greedy
+(* The load-keyed prior cache is a bounded MRU list: snapshot sweeps
+   reuse the same few load vectors and hit; long scans (e.g. the greedy
    combined-method search, which solves against thousands of distinct
    right-hand sides) cannot grow the workspace without bound. *)
 let max_keyed = 8
@@ -86,14 +85,12 @@ type t = {
   mutable dense : Mat.t option;
   mutable zfac : Csr.t option;
       (* sparse mode: Z with ZᵀZ = (RᵀR)∘(RᵀR), see [z_factor] *)
-  mutable op_norm : float option;
-  mutable gram_norm : float option;
   lipschitz_tbl : (string, float) Hashtbl.t;
+      (* every spectral-norm estimate, [op_norm]/[gram_norm] included *)
   op_tbl : (string * int, Op.t) Hashtbl.t;
       (* operator values keyed by (name, domain): the normal-equations
          operators own link buffers, so each domain gets private
          closures *)
-  mutable totals : (Vec.t * float) list;  (* MRU *)
   mutable priors : prior_slot list;  (* MRU *)
   scratch_tbl : (string * int * int, Vec.t array) Hashtbl.t;
       (* keyed by (consumer, dim, domain): each domain owns its arena *)
@@ -137,11 +134,8 @@ let create ?pool ?(sink = Obs.null) ?(mode = Auto) routing =
     transpose = None;
     dense = None;
     zfac = None;
-    op_norm = None;
-    gram_norm = None;
     lipschitz_tbl = Hashtbl.create 7;
     op_tbl = Hashtbl.create 7;
-    totals = [];
     priors = [];
     scratch_tbl = Hashtbl.create 7;
     scratch_mat_tbl = Hashtbl.create 7;
@@ -159,7 +153,6 @@ let create ?pool ?(sink = Obs.null) ?(mode = Auto) routing =
         c_op = c_zero ();
         c_lipschitz = c_zero ();
         c_prior = c_zero ();
-        c_total = c_zero ();
         c_solve = c_zero ();
         c_warm = c_zero ();
         c_precond = c_zero ();
@@ -305,24 +298,25 @@ let dense t =
     (fun () -> Routing.dense t.routing)
     t
 
-let op_norm t =
+let cached_lipschitz t ~key ~compute =
   memo ~name:"lipschitz" t.counters.c_lipschitz
-    (fun t -> t.op_norm)
-    (fun t v -> t.op_norm <- v)
-    (fun () ->
+    (fun t -> Hashtbl.find_opt t.lipschitz_tbl key)
+    (fun t v -> Option.iter (Hashtbl.replace t.lipschitz_tbl key) v)
+    compute t
+
+let op_norm t =
+  cached_lipschitz t ~key:"op_norm" ~compute:(fun () ->
       let r = t.routing.Routing.matrix in
       Fista.lipschitz_of_op ~dim:(num_pairs t) (fun v ->
           Csr.tmatvec r (Csr.matvec r v)))
-    t
 
 let gram_norm t =
   dense_only t ~name:"gram_norm" ~hint:"Workspace.op_norm";
+  (* Forced first: [cached_lipschitz] computes under the workspace lock,
+     which is not reentrant. *)
   let g = gram t in
-  memo ~name:"lipschitz" t.counters.c_lipschitz
-    (fun t -> t.gram_norm)
-    (fun t v -> t.gram_norm <- v)
-    (fun () -> Fista.lipschitz_of_gram g)
-    t
+  cached_lipschitz t ~key:"gram_norm" ~compute:(fun () ->
+      Fista.lipschitz_of_gram g)
 
 (* ------------------------------------------------------------------ *)
 (* Matrix-free operator artifacts                                      *)
@@ -423,38 +417,18 @@ let gram_sq_op t =
       Op.make ~rows:(Csr.cols z) ~cols:(Csr.cols z) ~apply_into:apply
         ~apply_t_into:apply)
 
-let cached_lipschitz t ~key ~compute =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.lipschitz_tbl key with
-      | Some v ->
-          t.counters.c_lipschitz.h <- t.counters.c_lipschitz.h + 1;
-          sample t "lipschitz" t.counters.c_lipschitz;
-          v
-      | None ->
-          t.counters.c_lipschitz.m <- t.counters.c_lipschitz.m + 1;
-          sample t "lipschitz" t.counters.c_lipschitz;
-          let v = timed t.counters.c_lipschitz compute in
-          Hashtbl.replace t.lipschitz_tbl key v;
-          v)
-
 (* Uncached spectral-norm estimates: the computation belongs to the
    caller (per-window matrices, stacked operators) and must not run
    under the lock — only the accounting does. *)
-let counted_lipschitz t compute =
+let lipschitz_of_op t ~dim apply =
   let t0 = Obs.Clock.now_ns () in
-  let v = compute () in
+  let v = Fista.lipschitz_of_op ~dim apply in
   let dt = Obs.Clock.seconds_since t0 in
   Mutex.protect t.lock (fun () ->
       t.counters.c_lipschitz.m <- t.counters.c_lipschitz.m + 1;
       t.counters.c_lipschitz.s <- t.counters.c_lipschitz.s +. dt;
       sample t "lipschitz" t.counters.c_lipschitz);
   v
-
-let lipschitz_of_matrix t h =
-  counted_lipschitz t (fun () -> Fista.lipschitz_of_gram h)
-
-let lipschitz_of_op t ~dim apply =
-  counted_lipschitz t (fun () -> Fista.lipschitz_of_op ~dim apply)
 
 (* ------------------------------------------------------------------ *)
 (* Preconditioners                                                     *)
@@ -525,28 +499,14 @@ let last_iterations t ~name =
 
 let same_loads a b = a == b || Vec.equal ~eps:0. a b
 
+(* Uncached: every scan window brings new loads, so a load-keyed cache
+   would only add a comparison against each stored vector per miss. *)
 let total_traffic t ~loads =
   if Array.length loads <> num_links t then
     invalid_arg "Workspace.total_traffic: load vector dimension mismatch";
-  Mutex.protect t.lock (fun () ->
-      match List.find_opt (fun (l, _) -> same_loads l loads) t.totals with
-      | Some (l, v) ->
-          t.counters.c_total.h <- t.counters.c_total.h + 1;
-          sample t "total" t.counters.c_total;
-          (* Refresh MRU position. *)
-          t.totals <- (l, v) :: List.filter (fun (l', _) -> l' != l) t.totals;
-          v
-      | None ->
-          t.counters.c_total.m <- t.counters.c_total.m + 1;
-          sample t "total" t.counters.c_total;
-          let v =
-            timed t.counters.c_total (fun () ->
-                let acc = ref 0. in
-                Array.iter (fun row -> acc := !acc +. loads.(row)) t.ingress;
-                !acc)
-          in
-          t.totals <- take_mru max_keyed ((loads, v) :: t.totals);
-          v)
+  let acc = ref 0. in
+  Array.iter (fun row -> acc := !acc +. loads.(row)) t.ingress;
+  !acc
 
 let find_prior_slot t ~kind ~loads =
   List.find_opt
@@ -698,7 +658,6 @@ type stats = {
   op : counter;
   lipschitz : counter;
   prior : counter;
-  total : counter;
   solve : counter;
   warm : counter;
   precond : counter;
@@ -721,7 +680,6 @@ let stats t =
         op = snap c.c_op;
         lipschitz = snap c.c_lipschitz;
         prior = snap c.c_prior;
-        total = snap c.c_total;
         solve = snap c.c_solve;
         warm = snap c.c_warm;
         precond = snap c.c_precond;
@@ -746,7 +704,6 @@ let reset_stats t =
       z c.c_op;
       z c.c_lipschitz;
       z c.c_prior;
-      z c.c_total;
       z c.c_solve;
       z c.c_warm;
       z c.c_precond;
@@ -787,7 +744,6 @@ let stats_rows s =
     ("op", s.op.hits, s.op.misses, s.op.seconds);
     ("lipschitz", s.lipschitz.hits, s.lipschitz.misses, s.lipschitz.seconds);
     ("prior", s.prior.hits, s.prior.misses, s.prior.seconds);
-    ("total", s.total.hits, s.total.misses, s.total.seconds);
     ("solve", s.solve.hits, s.solve.misses, s.solve.seconds);
     ("warm", s.warm.hits, s.warm.misses, s.warm.seconds);
     ("precond", s.precond.hits, s.precond.misses, s.precond.seconds);

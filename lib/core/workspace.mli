@@ -4,12 +4,11 @@
     routing matrix [R], and most of them need the same derived
     artifacts: the CSR transpose [Rᵀ], the dense Gram matrix [RᵀR], its
     regularized Cholesky factor, spectral norms (gradient Lipschitz
-    constants), the access-link row indices, the total-traffic
-    normalization and the materialized prior vectors.  A [Workspace.t]
-    wraps one routing context and computes each artifact lazily, exactly
-    once, so that sweeps over regularization parameters, measurement
-    windows and 5-minute snapshots pay the preprocessing cost a single
-    time.
+    constants), the access-link row indices and the materialized prior
+    vectors.  A [Workspace.t] wraps one routing context and computes
+    each artifact lazily, exactly once, so that sweeps over
+    regularization parameters, measurement windows and 5-minute
+    snapshots pay the preprocessing cost a single time.
 
     All cached values are produced by the very same expressions the
     methods previously evaluated inline, so estimates obtained through a
@@ -39,9 +38,10 @@ type prior_kind =
   | Prior_wcb  (** worst-case-bound midpoints *)
   | Prior_uniform  (** total traffic spread evenly over all pairs *)
 
-(** Solver-core mode.  [Dense] materializes the historical dense
-    artifacts ({!gram}, {!dense}, Cholesky, eigen) — the small-[n] fast
-    path, bit-identical to every previous release.  [Sparse] never
+(** Solver-core mode.  [Dense] makes the dense artifacts ({!gram},
+    {!dense}, Cholesky, eigen) available — the small-[n] fast path of
+    the methods that keep one (Cao, Fanout, the degraded-mode repair)
+    and the only path of the dense-only methods.  [Sparse] never
     builds a dense [n_od x n_od] matrix: solvers consume matrix-free
     operators ({!op}, {!normal_op}, {!gram_sq_op}) instead, which is
     what makes 100–500-PoP networks (10⁴–10⁵ OD pairs) feasible.
@@ -57,8 +57,8 @@ val sparse_gate : int
     quadratic solvers (bayes, vardi, cao's bootstrap) take Jacobi in
     sparse mode — iteration counts dominate wall-clock at 100–500 PoPs
     and the exact Gram diagonal costs one O(nnz) pass — and none in
-    dense mode (see {!resolve_precond}), which keeps every historical
-    dense golden result bit-identical; entropy and fanout resolve
+    dense mode (see {!resolve_precond}), so the default policy leaves
+    dense-mode results unpreconditioned; entropy and fanout resolve
     [Precond_auto] to none (the KL-prox and block-simplex geometries
     measured slower under the diagonal metric). *)
 type precond_kind = Precond_auto | Precond_jacobi | Precond_none
@@ -130,8 +130,9 @@ val egress_rows : t -> int array
 (** [gram t] is the dense [RᵀR], computed once.  Dense mode only. *)
 val gram : t -> Tmest_linalg.Mat.t
 
-(** [gram_sq t] is the entry-wise square of {!gram} (second-moment
-    system of the Vardi/Cao methods).  Dense mode only. *)
+(** [gram_sq t] is the entry-wise square of {!gram}: Cao's dense
+    second-moment system (Vardi applies {!gram_sq_op} in both modes).
+    Dense mode only. *)
 val gram_sq : t -> Tmest_linalg.Mat.t
 
 (** [gram_chol t] is the ridge-regularized Cholesky factor of {!gram}
@@ -177,29 +178,32 @@ val gram_sq_op : t -> Tmest_linalg.Op.t
 
 (** [op_norm t] is [‖RᵀR‖₂] estimated by power iteration on the sparse
     operator [v ↦ Rᵀ(Rv)] — the Lipschitz building block of the
-    first-order methods (Entropy, Bayes). *)
+    first-order methods (Entropy, Bayes).  Memoized by
+    {!cached_lipschitz} under the key ["op_norm"]. *)
 val op_norm : t -> float
 
 (** [gram_norm t] is [‖RᵀR‖₂] estimated by power iteration on the
-    {e dense} {!gram} matrix.  Numerically this can differ from
-    {!op_norm} in the last bits (different summation order), and the Cao
-    solver historically used the dense variant, so both are kept. *)
+    {e dense} {!gram} matrix, memoized under the key ["gram_norm"].
+    Numerically this can differ from {!op_norm} in the last bits
+    (different summation order), and Cao's dense path uses it, so both
+    are kept.  Dense mode only. *)
 val gram_norm : t -> float
 
-(** [cached_lipschitz t ~key ~compute] memoizes a method-specific
-    Lipschitz constant under [key].  Use for constants that depend on
-    the routing matrix plus fixed scalar parameters (encode the
-    parameters in the key); [compute] runs at most once per key. *)
+(** [cached_lipschitz t ~key ~compute] memoizes a Lipschitz constant
+    under [key] in the workspace's one spectral-norm table, counted
+    under the [lipschitz] stats class and traced as a [ws.lipschitz]
+    span on a miss.  Use for constants that depend on the routing
+    matrix plus fixed scalar parameters (encode the parameters in the
+    key); [compute] runs at most once per key, under the workspace
+    lock, so it must not call back into the workspace. *)
 val cached_lipschitz : t -> key:string -> compute:(unit -> float) -> float
-
-(** [lipschitz_of_matrix t h] is {!Tmest_opt.Fista.lipschitz_of_gram}[ h],
-    uncached (for per-window matrices that cannot be reused) but counted
-    in {!stats}. *)
-val lipschitz_of_matrix : t -> Tmest_linalg.Mat.t -> float
 
 (** [lipschitz_of_op t ~dim apply] is
     {!Tmest_opt.Fista.lipschitz_of_op}, uncached but counted in
-    {!stats} (joint multi-routing operators). *)
+    {!stats} (per-window matrices and joint multi-routing operators that
+    cannot be reused).  For a dense matrix [h], passing
+    [Tmest_linalg.Mat.matvec h] gives exactly
+    {!Tmest_opt.Fista.lipschitz_of_gram}[ h]. *)
 val lipschitz_of_op :
   t -> dim:int -> (Tmest_linalg.Vec.t -> Tmest_linalg.Vec.t) -> float
 
@@ -233,22 +237,22 @@ val note_iterations : t -> name:string -> iterations:int -> unit
     recent solve of method [name], if any. *)
 val last_iterations : t -> name:string -> int option
 
-(** {1 Load-dependent caches}
-
-    Keyed by the load vector itself (physical equality first, then
-    structural); bounded most-recently-used lists, so sweeps that reuse
-    one snapshot hit the cache while long scans cannot grow it without
-    bound. *)
+(** {1 Load-dependent values} *)
 
 (** [total_traffic t ~loads] is the total network traffic [Σ te(n)]
     read off the ingress access-link rows (the [stot] normalization of
-    Section 3.2.1). *)
+    Section 3.2.1).  Not cached: a plain sum over the memoized
+    {!ingress_rows}. *)
 val total_traffic : t -> loads:Tmest_linalg.Vec.t -> float
 
 (** [cached_prior t ~kind ~loads ~compute] memoizes a materialized
-    prior vector per [(kind, loads)].  The computation closure lives
-    with the caller ({!Estimator.build_prior_ws}) so the workspace does
-    not depend on the method modules.  Treat the result as read-only. *)
+    prior vector per [(kind, loads)], keyed by the load vector itself
+    (physical equality first, then structural) in a bounded
+    most-recently-used list of 8 entries, so sweeps that reuse one
+    snapshot hit the cache while long scans cannot grow it without
+    bound.  The computation closure lives with the caller
+    ({!Estimator.build_prior_ws}) so the workspace does not depend on
+    the method modules.  Treat the result as read-only. *)
 val cached_prior :
   t ->
   kind:prior_kind ->
@@ -319,17 +323,23 @@ val store_warm_start : t -> key:string -> Tmest_linalg.Vec.t -> unit
     time once a driver installs a wall-clock source there. *)
 type counter = { hits : int; misses : int; seconds : float }
 
+(** One counter per class (one {!stats_rows} row each) plus the solve
+    allocation figures.  {!total_traffic} is a plain sum and has no
+    class. *)
 type stats = {
   gram : counter;  (** dense [RᵀR] (+ entry-wise square); dense mode *)
   chol : counter;  (** regularized Cholesky factor; dense mode *)
   eigen : counter;  (** symmetric eigendecomposition; dense mode *)
   transpose : counter;  (** CSR transpose *)
   dense : counter;  (** dense [R]; dense mode *)
-  op : counter;  (** matrix-free operators + Z factor; the sparse-mode
-                     counterpart of [gram]/[dense] *)
-  lipschitz : counter;  (** all spectral-norm estimates *)
+  op : counter;
+      (** matrix-free operators + Z factor, both modes; in sparse mode
+          they replace [gram]/[dense], which then read 0 *)
+  lipschitz : counter;
+      (** all spectral-norm estimates: {!op_norm}, {!gram_norm},
+          {!cached_lipschitz} keys, and uncached {!lipschitz_of_op}
+          calls (misses only) *)
   prior : counter;  (** materialized prior vectors *)
-  total : counter;  (** total-traffic normalizations *)
   solve : counter;  (** full estimator runs via [Estimator.run_ws]
                         ([misses] = number of solves) *)
   warm : counter;  (** warm-start lookups ([hits] = starts served) *)

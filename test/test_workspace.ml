@@ -129,20 +129,17 @@ let test_total_traffic_matches_problem () =
 
 let test_stats_hits_on_second_access () =
   let d = Lazy.force small in
-  let _, loads = busy_snapshot d in
   let ws = Workspace.create d.Dataset.routing in
   ignore (Workspace.gram ws);
   ignore (Workspace.gram_chol ws);
   ignore (Workspace.transpose ws);
   ignore (Workspace.op_norm ws);
-  ignore (Workspace.total_traffic ws ~loads);
   let s1 = Workspace.stats ws in
   Alcotest.(check int) "gram miss once" 1 s1.Workspace.gram.Workspace.misses;
   ignore (Workspace.gram ws);
   ignore (Workspace.gram_chol ws);
   ignore (Workspace.transpose ws);
   ignore (Workspace.op_norm ws);
-  ignore (Workspace.total_traffic ws ~loads);
   let s2 = Workspace.stats ws in
   Alcotest.(check bool) "gram hit" true
     (s2.Workspace.gram.Workspace.hits > s1.Workspace.gram.Workspace.hits);
@@ -150,7 +147,6 @@ let test_stats_hits_on_second_access () =
   Alcotest.(check int) "chol hit" 1 s2.Workspace.chol.Workspace.hits;
   Alcotest.(check int) "transpose hit" 1 s2.Workspace.transpose.Workspace.hits;
   Alcotest.(check int) "lipschitz hit" 1 s2.Workspace.lipschitz.Workspace.hits;
-  Alcotest.(check int) "total hit" 1 s2.Workspace.total.Workspace.hits;
   Workspace.reset_stats ws;
   let s3 = Workspace.stats ws in
   Alcotest.(check int) "reset clears hits" 0 s3.Workspace.gram.Workspace.hits;
@@ -198,18 +194,25 @@ let test_prior_cache_hits_across_methods () =
     (s.Workspace.lipschitz.Workspace.hits >= 1)
 
 let test_keyed_caches_bounded () =
-  (* Thousands of distinct load vectors must not grow the workspace. *)
+  (* The prior cache is keyed by the load vector: a long scan over
+     distinct loads must evict the oldest entries, not grow without
+     bound. *)
   let d = Lazy.force small in
   let ws = Workspace.create d.Dataset.routing in
   let l = Dataset.num_links d in
-  for i = 0 to 99 do
-    ignore
-      (Workspace.total_traffic ws
-         ~loads:(Vec.init l (fun j -> float_of_int ((i * l) + j))))
-  done;
-  let s = Workspace.stats ws in
-  Alcotest.(check int) "all distinct loads miss" 100
-    s.Workspace.total.Workspace.misses
+  let loads =
+    Array.init 100 (fun i -> Vec.init l (fun j -> float_of_int ((i * l) + j)))
+  in
+  let prior i =
+    ignore (Estimator.prior Estimator.Prior_uniform ws ~loads:loads.(i))
+  in
+  let misses () = (Workspace.stats ws).Workspace.prior.Workspace.misses in
+  Array.iteri (fun i _ -> prior i) loads;
+  Alcotest.(check int) "all distinct loads miss" 100 (misses ());
+  prior 99;
+  Alcotest.(check int) "newest load hits" 100 (misses ());
+  prior 0;
+  Alcotest.(check int) "oldest load was evicted" 101 (misses ())
 
 let () =
   Alcotest.run "workspace"
