@@ -10,14 +10,14 @@
    context, so each run is sub-second) plus the numerical kernels and
    allocation-free solver cores the estimators are built on, reporting
    both time/run and minor words/run.  It also writes
-   BENCH_workspace.json (cold-vs-warm solver-workspace timings),
    BENCH_solvers.json (per-iteration solver allocations, full-method
-   timings with the warm-start cache, and the cold-vs-warm window-scan
-   meso-benchmark) and BENCH_parallel.json (the multicore fan-out sweep
-   over jobs in {1, 2, 4, #cores}).  It exits 1 when FISTA, proxgrad
-   or CG allocate more than 2, 4 or 10 minor words per iteration.
-   [--perf --fast] is the CI smoke variant: kernels and solvers only,
-   reduced context and quota.
+   timings with the warm-start cache, the cold-vs-warm window-scan
+   meso-benchmark and the cold-vs-cached workspace artifacts) and
+   BENCH_parallel.json (the multicore fan-out sweep over jobs in
+   {1, 2, 4, #cores}).  It exits 1 when FISTA, proxgrad or CG allocate
+   more than 2, 4 or 10 minor words per iteration.  [--perf --fast] is
+   the CI smoke variant: kernels and solvers only, reduced context and
+   quota, no workspace-artifact rows.
 
    [--scale] runs the scaling-law sweep over synthetic hierarchical
    backbones (PoPs x method, both sides of the workspace sparse gate)
@@ -32,6 +32,16 @@
    CI smoke variant (smaller networks, 24 windows, same jobs sweep).
    Speedup floors are asserted only on boxes with >= 2 cores.
 
+   [--daemon] drives the streaming daemon over a measurement day with
+   one link flap and one poller dropout and writes BENCH_daemon.json;
+   [--daemon --fast] is the CI smoke variant (24 ticks).
+
+   Timed figures (ns/op, windows/sec) are medians of repeated runs after
+   one untimed warm-up ([time_ns]); scale and daemon rows are single
+   runs.  [emit] writes every file with the machine provenance; [--fast]
+   runs write BENCH_<name>.fast.json, never the committed full-scale
+   files.  A mode whose assertions fail writes its file, then exits 1.
+
    Other flags: [--fast] (reduced datasets for the report mode),
    [--jobs N] (domain-pool size; default TMEST_JOBS, then the
    recommended domain count), [--only fig13,tab2], [--list]. *)
@@ -40,6 +50,12 @@ module Registry = Tmest_experiments.Registry
 module Report = Tmest_experiments.Report
 module Ctx = Tmest_experiments.Ctx
 module Pool = Tmest_parallel.Pool
+module Json = Tmest_obs.Json
+module Core = Tmest_core
+module Workspace = Tmest_core.Workspace
+module Dataset = Tmest_traffic.Dataset
+module Mat = Tmest_linalg.Mat
+module Vec = Tmest_linalg.Vec
 
 let run_reports ~fast ~only () =
   let t_start = Unix.gettimeofday () in
@@ -81,150 +97,146 @@ let run_reports ~fast ~only () =
   List.iter
     (fun net ->
       Format.printf "workspace[%s]: %a@." net.Ctx.label
-        Tmest_core.Workspace.pp_stats
-        (Tmest_core.Workspace.stats net.Ctx.workspace))
+        Workspace.pp_stats
+        (Workspace.stats net.Ctx.workspace))
     (Ctx.networks ctx);
   Printf.printf "all experiments done in %.1fs\n%!"
     (Unix.gettimeofday () -. t_start)
 
 (* ------------------------------------------------------------------ *)
-(* Workspace cold-vs-warm timings (BENCH_workspace.json)               *)
+(* Shared machinery: provenance, emitter, assertions, timer            *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled ns/op: repeat the thunk until ~0.2s of wall-clock has
-   accumulated (at least 3 runs) and report the mean.  Bechamel's OLS
-   machinery is overkill here — these are one-shot artifact timings
-   whose point is the cold/warm ratio, not nanosecond precision. *)
-(* Machine/run provenance stamped into every BENCH_*.json, so recorded
-   numbers can be compared across checkouts: the core count the
-   benchmark treats as available, the runtime's own recommendation
-   (identical here, but kept as a separate key because downstream
-   tooling reads both and containerized runners can diverge), the pool
-   size the benchmark actually used, and the compiler version. *)
-let provenance ~jobs =
-  let cores = Domain.recommended_domain_count () in
-  Printf.sprintf
-    "  \"cores\": %d,\n  \"cores_recommended\": %d,\n  \"jobs\": %d,\n\
-    \  \"ocaml_version\": %S,\n"
-    cores cores jobs Sys.ocaml_version
+(* The machine's core count, read the same way in every mode — not the
+   pool size, which follows --jobs and TMEST_JOBS. *)
+let cores = Domain.recommended_domain_count ()
 
+(* On a single-core box every jobs > 1 row measures scheduler churn,
+   not parallel speedup; the sweeps stamp the fact into their JSON so
+   downstream consumers discard those rows instead of reading noise. *)
+let oversubscribed ~what =
+  if cores = 1 then
+    Printf.eprintf
+      "warning: only 1 core available — jobs > 1 rows are oversubscribed \
+       and their %s are not meaningful\n%!"
+      what;
+  cores = 1
+
+let int n = Json.Num (float_of_int n)
+let str s = Json.Str s
+let mode ~fast = str (if fast then "fast" else "full")
+
+(* Writes BENCH_<name>.json, or BENCH_<name>.fast.json for a [--fast]
+   run.  The machine/run provenance goes first, so recorded numbers can
+   be compared across checkouts: the core count, the runtime's own
+   recommendation (identical here, but kept as a separate key because
+   downstream tooling reads both and containerized runners can
+   diverge), the pool size the benchmark actually used, and the
+   compiler version.  One top-level field, or one row of a top-level
+   list, per line keeps the files diffable. *)
+let emit ~fast ~name ~jobs fields =
+  let path =
+    Printf.sprintf "BENCH_%s%s.json" name (if fast then ".fast" else "")
+  in
+  let fields =
+    [ ("cores", int cores); ("cores_recommended", int cores);
+      ("jobs", int jobs); ("ocaml_version", str Sys.ocaml_version) ]
+    @ fields
+  in
+  let field (key, v) =
+    Json.to_string (Json.Str key)
+    ^ ": "
+    ^
+    match v with
+    | Json.List (_ :: _ as rows) ->
+        "[\n    "
+        ^ String.concat ",\n    " (List.map Json.to_string rows)
+        ^ "\n  ]"
+    | v -> Json.to_string v
+  in
+  let oc = open_out path in
+  output_string oc
+    ("{\n  " ^ String.concat ",\n  " (List.map field fields) ^ "\n}\n");
+  close_out oc;
+  Printf.printf "wrote %s\n" path
+
+(* Assertion failures of the running mode: [check] records one,
+   [finish] reports them all on stderr and exits 1. *)
+let failures = ref []
+
+let check ok fmt =
+  Printf.ksprintf (fun msg -> if not ok then failures := msg :: !failures) fmt
+
+let finish ~label =
+  if !failures <> [] then begin
+    List.iter
+      (Printf.eprintf "%s assertion FAILED: %s\n" label)
+      (List.rev !failures);
+    exit 1
+  end
+
+(* ns/op: one untimed warm-up call, then timed samples until ~0.5 s has
+   accumulated (at least 3), reporting the median.  A sample batches
+   enough calls to span >= 1 ms, so sub-microsecond cache hits stay
+   above the clock's resolution; the median, unlike a mean, is not
+   dragged by the odd GC or scheduler stall.  The warm-up also pays
+   every first-touch cost — workspace artifacts, and the per-domain
+   arenas of a freshly created pool — outside the timing. *)
 let time_ns f =
   ignore (f ());
-  let budget = 0.2 in
-  let t0 = Unix.gettimeofday () in
-  let reps = ref 0 in
-  while Unix.gettimeofday () -. t0 < budget || !reps < 3 do
-    ignore (f ());
-    incr reps
+  let sample batch =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batch do ignore (f ()) done;
+    (Unix.gettimeofday () -. t0) /. float_of_int batch
+  in
+  let t_start = Unix.gettimeofday () in
+  let rec calibrate batch =
+    let t = sample batch in
+    if t *. float_of_int batch >= 1e-3 then (batch, t)
+    else calibrate (2 * batch)
+  in
+  let batch, first = calibrate 1 in
+  let samples = ref [ first ] in
+  while List.length !samples < 3 || Unix.gettimeofday () -. t_start < 0.5 do
+    samples := sample batch :: !samples
   done;
-  (Unix.gettimeofday () -. t0) /. float_of_int !reps *. 1e9
+  1e9 *. Tmest_stats.Desc.median (Array.of_list !samples)
 
-let workspace_json () =
-  let module Core = Tmest_core in
-  let module Dataset = Tmest_traffic.Dataset in
-  let module Mat = Tmest_linalg.Mat in
-  let eu = Dataset.europe () in
-  let routing = eu.Dataset.routing in
-  let spec = eu.Dataset.spec in
-  let k = spec.Tmest_traffic.Spec.busy_start + (spec.Tmest_traffic.Spec.busy_len / 2) in
-  let loads = Dataset.link_loads_at eu k in
-  let ks = Array.of_list (Dataset.busy_samples eu) in
-  let window = 20 in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let load_samples =
-    Mat.init window (Dataset.num_links eu) (fun i j ->
-        (Dataset.link_loads_at eu ks.(i)).(j))
-  in
-  let entropy = Core.Estimator.of_name "entropy" in
-  let cao = Core.Estimator.of_name "cao" in
-  let warm = Core.Workspace.create routing in
-  (* The "cold" rows rebuild the workspace inside the thunk, so they
-     price a from-scratch routing context against the cached one. *)
-  let solve_cold est () =
-    Core.Estimator.solve est
-      (Core.Workspace.create routing)
-      ~loads ~load_samples
-  in
-  (* Populate every artifact the warm path uses before timing it. *)
-  ignore (Core.Estimator.solve entropy warm ~loads ~load_samples);
-  ignore (Core.Estimator.solve cao warm ~loads ~load_samples);
-  let rows =
-    [
-      ( "gram_cold",
-        time_ns (fun () ->
-            Core.Workspace.gram (Core.Workspace.create routing)) );
-      ("gram_warm", time_ns (fun () -> Core.Workspace.gram warm));
-      ( "factor_cold",
-        let g = Core.Workspace.gram warm in
-        time_ns (fun () -> Tmest_linalg.Chol.factor_regularized g) );
-      ("factor_warm", time_ns (fun () -> Core.Workspace.gram_chol warm));
-      ("entropy_solve_cold", time_ns (solve_cold entropy));
-      ( "entropy_solve_warm",
-        time_ns (fun () ->
-            Core.Estimator.solve entropy warm ~loads ~load_samples) );
-      ("cao_solve_cold", time_ns (solve_cold cao));
-      ( "cao_solve_warm",
-        time_ns (fun () ->
-            Core.Estimator.solve cao warm ~loads ~load_samples) );
-    ]
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"network\": \"europe\",\n";
-  Buffer.add_string buf (provenance ~jobs:1);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"window\": %d,\n  \"unit\": \"ns/op\",\n" window);
-  Buffer.add_string buf "  \"benchmarks\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.0f%s\n" name ns
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  }\n}\n";
-  let path = "BENCH_workspace.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  List.iter (fun (name, ns) -> Printf.printf "%-20s %12.0f ns/op\n" name ns) rows
+(* ns figures are recorded as whole nanoseconds. *)
+let ns x = Json.Num (Float.round x)
+
+(* [time_rows rows] times each [(name, f)] with [time_ns], in list
+   order (the elements of a list literal are evaluated in no set
+   order). *)
+let time_rows rows = List.map (fun (name, f) -> (name, time_ns f)) rows
+let row name f = (name, fun () -> ignore (f ()))
 
 (* ------------------------------------------------------------------ *)
-(* Solver hot-path allocations and warm-started scans                  *)
+(* Solver hot-path allocations, full-method and workspace timings      *)
 (* (BENCH_solvers.json)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Minor-heap words allocated per call, measured directly with the GC
-   counters (deterministic, unlike timings). *)
-let minor_words_per f =
-  ignore (f ());
-  let reps = 8 in
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  (Gc.minor_words () -. before) /. float_of_int reps
-
-(* Marginal allocation of one extra solver iteration: difference between
-   a 1-iteration and a (1+n)-iteration solve.  The setup cost (scratch
-   validation, result copy) cancels out. *)
+(* Marginal allocation of one extra solver iteration: the minor-heap
+   words per solve, read directly off the GC counters (deterministic,
+   unlike timings), of a (1+n)-iteration solve minus a 1-iteration
+   one.  The setup cost (scratch validation, result copy) cancels out. *)
 let words_per_iter solve =
+  let words iters =
+    ignore (solve iters);
+    let before = Gc.minor_words () in
+    for _ = 1 to 8 do ignore (solve iters) done;
+    (Gc.minor_words () -. before) /. 8.
+  in
   let extra = 64 in
-  let base = minor_words_per (fun () -> solve 1) in
-  let long = minor_words_per (fun () -> solve (1 + extra)) in
-  (long -. base) /. float_of_int extra
+  (words (1 + extra) -. words 1) /. float_of_int extra
 
-let solvers_json ~fast () =
-  let module Core = Tmest_core in
-  let module Vec = Tmest_linalg.Vec in
-  let module Mat = Tmest_linalg.Mat in
+(* The solver cores on a synthetic 200-dim SPD quadratic with
+   preallocated scratch, so the numbers are routing-independent:
+   [(name, solve)] where [solve stop] runs that core under [stop]. *)
+let quadratic_solvers () =
   let module Fista = Tmest_opt.Fista in
   let module Proxgrad = Tmest_opt.Proxgrad in
   let module Cg = Tmest_opt.Cg in
-  (* Exactly n iterations: tolerance 0 never triggers early exit. *)
-  let stop_exact n = Tmest_opt.Stop.make ~max_iter:n ~tol:0. () in
-  (* Per-iteration allocations of the solver cores, on a synthetic SPD
-     quadratic so the numbers are routing-independent. *)
   let rng = Tmest_stats.Rng.create 23 in
   let dim = 200 in
   let a =
@@ -238,133 +250,126 @@ let solvers_json ~fast () =
     Mat.matvec_into a x ~dst;
     Vec.sub_into dst b ~dst
   in
-  let fista_scratch = Array.init Fista.scratch_size (fun _ -> Vec.zeros dim) in
-  let pg_scratch = Array.init Proxgrad.scratch_size (fun _ -> Vec.zeros dim) in
-  let cg_scratch = Array.init Cg.scratch_size (fun _ -> Vec.zeros dim) in
+  let scratch n = Array.init n (fun _ -> Vec.zeros dim) in
+  let fista_scratch = scratch Fista.scratch_size in
+  let pg_scratch = scratch Proxgrad.scratch_size in
+  let cg_scratch = scratch Cg.scratch_size in
   let prior = Vec.ones dim in
+  [
+    ( "fista",
+      fun stop ->
+        ignore
+          (Fista.solve_into ~stop ~scratch:fista_scratch ~dim ~gradient_into
+             ~lipschitz:lip ()) );
+    ( "proxgrad",
+      fun stop ->
+        ignore
+          (Proxgrad.solve_into ~stop ~scratch:pg_scratch ~dim ~gradient_into
+             ~prox_into:(Proxgrad.kl_prox_into ~weight:0.1 ~prior)
+             ~lipschitz:lip ()) );
+    ( "cg",
+      fun stop ->
+        ignore
+          (Cg.solve_into ~stop ~scratch:cg_scratch
+             ~apply_into:(fun v ~dst -> Mat.matvec_into a v ~dst)
+             ~b ()) );
+  ]
+
+let solvers_json ~fast () =
+  (* Exactly n iterations: tolerance 0 never triggers early exit. *)
+  let stop_exact n = Tmest_opt.Stop.make ~max_iter:n ~tol:0. () in
   let alloc_rows =
-    [
-      ( "fista",
-        words_per_iter (fun n ->
-            Fista.solve_into ~stop:(stop_exact n) ~scratch:fista_scratch ~dim
-              ~gradient_into ~lipschitz:lip ()) );
-      ( "proxgrad",
-        words_per_iter (fun n ->
-            Proxgrad.solve_into ~stop:(stop_exact n) ~scratch:pg_scratch ~dim
-              ~gradient_into
-              ~prox_into:(Proxgrad.kl_prox_into ~weight:0.1 ~prior)
-              ~lipschitz:lip ()) );
-      ( "cg",
-        words_per_iter (fun n ->
-            Cg.solve_into ~stop:(stop_exact n) ~scratch:cg_scratch
-              ~apply_into:(fun v ~dst -> Mat.matvec_into a v ~dst)
-              ~b ()) );
-    ]
+    List.map
+      (fun (name, solve) ->
+        (name, words_per_iter (fun n -> solve (stop_exact n))))
+      (quadratic_solvers ())
   in
   (* Full-method timings plus the cold-vs-warm window-scan comparison on
      the shared experiment context. *)
   let ctx = Ctx.create ~fast () in
   let net = ctx.Ctx.europe in
-  let ws = net.Ctx.workspace in
   let loads = net.Ctx.loads in
   let window = if fast then 5 else 20 in
   let steps = if fast then 3 else 5 in
   let load_samples = Ctx.Scan.samples net ~window in
-  let routing = net.Ctx.dataset.Tmest_traffic.Dataset.routing in
+  let routing = net.Ctx.dataset.Dataset.routing in
   let entropy = Core.Estimator.of_name "entropy" in
   let cao = Core.Estimator.of_name "cao" in
   let warm_opts = Core.Estimator.Options.make ~warm:true () in
-  let solve_cold est () =
-    Core.Estimator.solve est
-      (Core.Workspace.create routing)
-      ~loads ~load_samples
+  let solve ?opts est ws () =
+    Core.Estimator.solve ?opts est ws ~loads ~load_samples
   in
-  (* Populate workspace artifacts and the warm-start cache. *)
-  ignore (Core.Estimator.solve ~opts:warm_opts entropy ws ~loads ~load_samples);
-  ignore (Core.Estimator.solve ~opts:warm_opts cao ws ~loads ~load_samples);
-  let ns_rows =
+  (* The "cold" rows rebuild the workspace inside the thunk, so they
+     price a from-scratch routing context; the "warm" rows reuse the
+     context's workspace and its warm-start cache, which the timer's
+     warm-up call populates. *)
+  let cold est () = solve est (Workspace.create routing) () in
+  let warm est = solve ~opts:warm_opts est net.Ctx.workspace in
+  let scan opts () =
+    Ctx.Scan.run net cao (Ctx.Scan.make ~opts (Ctx.Scan.Busy { window; steps }))
+  in
+  (* Workspace artifacts on their own workspace, cold (rebuilt per
+     call) against cached, and the same solves with every artifact
+     cached but no warm start. *)
+  let cached = Workspace.create routing in
+  let cached_rows =
     [
-      ("entropy_solve_cold", time_ns (solve_cold entropy));
-      ( "entropy_solve_warm",
-        time_ns (fun () ->
-            Core.Estimator.solve ~opts:warm_opts entropy ws ~loads
-              ~load_samples) );
-      ("cao_solve_cold", time_ns (solve_cold cao));
-      ( "cao_solve_warm",
-        time_ns (fun () ->
-            Core.Estimator.solve ~opts:warm_opts cao ws ~loads ~load_samples)
-      );
-      (* Scan with the Cao estimator: its warm start reuses the previous
-         window's lambda and skips the first-moment bootstrap entirely,
-         so the cold/warm gap is the meso-level payoff of the cache.
-         (Entropy re-derives a near-optimal start from the gravity prior
-         of each window's own loads, so warm-starting barely moves its
-         iteration count.) *)
-      ( "windows_scan_cold",
-        time_ns (fun () ->
-            Ctx.Scan.run net cao (Ctx.Scan.make (Ctx.Scan.Busy { window; steps }))) );
-      ( "windows_scan_warm",
-        time_ns (fun () ->
-            Ctx.Scan.run net cao
-              (Ctx.Scan.make ~opts:warm_opts (Ctx.Scan.Busy { window; steps }))) );
+      row "gram_cold" (fun () -> Workspace.gram (Workspace.create routing));
+      row "gram_warm" (fun () -> Workspace.gram cached);
+      row "factor_cold" (fun () ->
+          Tmest_linalg.Chol.factor_regularized (Workspace.gram cached));
+      row "factor_warm" (fun () -> Workspace.gram_chol cached);
+      row "entropy_solve_cached" (solve entropy cached);
+      row "cao_solve_cached" (solve cao cached);
     ]
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"network\": %S,\n" (if fast then "europe-fast" else "europe"));
-  Buffer.add_string buf (provenance ~jobs:(Pool.size (Ctx.pool ctx)));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"window\": %d,\n  \"scan_steps\": %d,\n  \"scan_method\": \"cao\",\n"
-       window steps);
-  Buffer.add_string buf "  \"alloc_minor_words_per_iter\": {\n";
-  List.iteri
-    (fun i (name, words) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.1f%s\n" name words
-           (if i = List.length alloc_rows - 1 then "" else ",")))
-    alloc_rows;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"ns_per_op\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.0f%s\n" name ns
-           (if i = List.length ns_rows - 1 then "" else ",")))
-    ns_rows;
-  Buffer.add_string buf "  }\n}\n";
-  let path = "BENCH_solvers.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
+  let ns_rows =
+    time_rows
+      ([
+         row "entropy_solve_cold" (cold entropy);
+         row "entropy_solve_warm" (warm entropy);
+         row "cao_solve_cold" (cold cao);
+         row "cao_solve_warm" (warm cao);
+         (* Scan with the Cao estimator: its warm start reuses the
+            previous window's lambda and skips the first-moment
+            bootstrap entirely, so the cold/warm gap is the meso-level
+            payoff of the cache.  (Entropy re-derives a near-optimal
+            start from the gravity prior of each window's own loads, so
+            warm-starting barely moves its iteration count.) *)
+         row "windows_scan_cold" (scan Core.Estimator.Options.default);
+         row "windows_scan_warm" (scan warm_opts);
+       ]
+      @ if fast then [] else cached_rows)
+  in
+  emit ~fast ~name:"solvers" ~jobs:(Pool.size (Ctx.pool ctx))
+    [
+      ("network", str (if fast then "europe-fast" else "europe"));
+      ("window", int window); ("scan_steps", int steps);
+      ("scan_method", str "cao");
+      ( "alloc_minor_words_per_iter",
+        Json.Obj (List.map (fun (name, w) -> (name, Json.Num w)) alloc_rows) );
+      ( "ns_per_op",
+        Json.Obj (List.map (fun (name, t) -> (name, ns t)) ns_rows) );
+    ];
   List.iter
     (fun (name, words) ->
       Printf.printf "%-20s %12.1f minor words/iter\n" name words)
     alloc_rows;
   List.iter
-    (fun (name, ns) -> Printf.printf "%-20s %12.0f ns/op\n" name ns)
+    (fun (name, t) -> Printf.printf "%-20s %12.0f ns/op\n" name t)
     ns_rows;
   (* Ceilings at the solver cores' measured per-iteration allocation
      with tracing disabled: a value above one means a hot path started
      allocating. *)
-  let ceilings = [ ("fista", 2.); ("proxgrad", 4.); ("cg", 10.) ] in
-  let over =
-    List.filter
-      (fun (name, words) -> words > List.assoc name ceilings)
-      alloc_rows
-  in
-  if over <> [] then begin
-    List.iter
-      (fun (name, words) ->
-        Printf.eprintf
-          "perf assertion FAILED: %s allocates %.1f minor words/iter \
-           (ceiling %.0f)\n"
-          name words (List.assoc name ceilings))
-      over;
-    exit 1
-  end
+  List.iter
+    (fun (name, words) ->
+      let ceiling =
+        List.assoc name [ ("fista", 2.); ("proxgrad", 4.); ("cg", 10.) ]
+      in
+      check (words <= ceiling)
+        "%s allocates %.1f minor words/iter (ceiling %.0f)" name words ceiling)
+    alloc_rows;
+  finish ~label:"perf"
 
 (* ------------------------------------------------------------------ *)
 (* Multicore fan-out sweep (BENCH_parallel.json)                       *)
@@ -379,19 +384,7 @@ let solvers_json ~fast () =
    the *results* are independent of the job count is asserted in
    test_parallel, this file only records the speedups. *)
 let parallel_json ~fast () =
-  let module Core = Tmest_core in
-  let module Workspace = Tmest_core.Workspace in
-  let module Mat = Tmest_linalg.Mat in
-  let module Vec = Tmest_linalg.Vec in
-  let cores = Pool.default_jobs () in
-  (* On a single-core box every jobs > 1 row measures scheduler churn,
-     not parallel speedup; stamp the fact into the JSON so downstream
-     consumers discard the speedup columns instead of reading noise. *)
-  let oversubscribed = cores = 1 in
-  if oversubscribed then
-    Printf.eprintf
-      "warning: only 1 core available — jobs > 1 rows are oversubscribed \
-       and their speedups are not meaningful\n%!";
+  let oversubscribed = oversubscribed ~what:"speedups" in
   let jobs_list = List.sort_uniq compare [ 1; 2; 4; cores ] in
   let window = if fast then 5 else 20 in
   let steps = if fast then 4 else 8 in
@@ -403,7 +396,6 @@ let parallel_json ~fast () =
     Array.of_list
       (List.map Core.Estimator.of_name (Core.Estimator.all_names ()))
   in
-  let us_loads = us.Ctx.loads in
   let us_samples = Ctx.Scan.samples us ~window in
   let gram = Workspace.gram us.Ctx.workspace in
   let x = Vec.ones (Mat.cols gram) in
@@ -413,68 +405,48 @@ let parallel_json ~fast () =
     List.iter
       (fun net -> Workspace.set_pool net.Ctx.workspace (Some pool))
       (Ctx.networks ctx);
-    let scan =
-      time_ns (fun () ->
-          Ctx.Scan.run eu cao (Ctx.Scan.make (Ctx.Scan.Busy { window; steps })))
+    let bench =
+      time_rows
+        [
+          row "europe_scan_cold" (fun () ->
+              Ctx.Scan.run eu cao
+                (Ctx.Scan.make (Ctx.Scan.Busy { window; steps })));
+          row "america_method_sweep" (fun () ->
+              Pool.map pool
+                (fun est ->
+                  Core.Estimator.solve est us.Ctx.workspace ~loads:us.Ctx.loads
+                    ~load_samples:us_samples)
+                methods);
+          row "america_gram_matvec" (fun () ->
+              Mat.matvec_into ~pool gram x ~dst);
+        ]
     in
-    let sweep =
-      time_ns (fun () ->
-          ignore
-            (Pool.map pool
-               (fun est ->
-                 Core.Estimator.solve est us.Ctx.workspace ~loads:us_loads
-                   ~load_samples:us_samples)
-               methods))
-    in
-    let matvec = time_ns (fun () -> Mat.matvec_into ~pool gram x ~dst) in
     Pool.shutdown pool;
-    [
-      ("europe_scan_cold", scan);
-      ("america_method_sweep", sweep);
-      ("america_gram_matvec", matvec);
-    ]
+    bench
   in
   let rows = List.map (fun jobs -> (jobs, bench_at jobs)) jobs_list in
-  let base = List.assoc (List.hd jobs_list) rows in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (provenance ~jobs:(List.fold_left Stdlib.max 1 jobs_list));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"oversubscribed\": %b,\n" oversubscribed);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": %S,\n" (if fast then "fast" else "full"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"window\": %d,\n  \"scan_steps\": %d,\n  \"scan_method\": \
-        \"cao\",\n  \"unit\": \"ns/op\",\n"
-       window steps);
-  let section title value last =
-    Buffer.add_string buf (Printf.sprintf "  \"%s\": {\n" title);
-    List.iteri
-      (fun i (jobs, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "    \"%d\": %s%s\n" jobs (value v)
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf (if last then "  }\n" else "  },\n")
-  in
+  let base = List.assoc 1 rows in
+  let top, top_bench = List.nth rows (List.length rows - 1) in
   let names = List.map fst base in
-  List.iteri
-    (fun i name ->
-      section ("ns_" ^ name)
-        (fun bench -> Printf.sprintf "%.0f" (List.assoc name bench))
-        false;
-      section ("speedup_" ^ name)
-        (fun bench ->
-          Printf.sprintf "%.2f" (List.assoc name base /. List.assoc name bench))
-        (i = List.length names - 1))
-    names;
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_parallel.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
+  let by_jobs value =
+    Json.Obj
+      (List.map (fun (jobs, bench) -> (string_of_int jobs, value bench)) rows)
+  in
+  emit ~fast ~name:"parallel" ~jobs:top
+    ([
+       ("oversubscribed", Json.Bool oversubscribed); ("mode", mode ~fast);
+       ("window", int window); ("scan_steps", int steps);
+       ("scan_method", str "cao"); ("unit", str "ns/op");
+     ]
+    @ List.concat_map
+        (fun name ->
+          [
+            ("ns_" ^ name, by_jobs (fun bench -> ns (List.assoc name bench)));
+            ( "speedup_" ^ name,
+              by_jobs (fun bench ->
+                  Json.Num (List.assoc name base /. List.assoc name bench)) );
+          ])
+        names);
   Printf.printf "%-24s" "benchmark \\ jobs";
   List.iter (fun jobs -> Printf.printf " %10d" jobs) jobs_list;
   print_newline ();
@@ -484,10 +456,8 @@ let parallel_json ~fast () =
       List.iter
         (fun (_, bench) -> Printf.printf " %8.2fms" (List.assoc name bench /. 1e6))
         rows;
-      Printf.printf "   (speedup at %d jobs: %.2fx)\n"
-        (List.hd (List.rev jobs_list))
-        (List.assoc name base
-        /. List.assoc name (List.assoc (List.hd (List.rev jobs_list)) rows)))
+      Printf.printf "   (speedup at %d jobs: %.2fx)\n" top
+        (List.assoc name base /. List.assoc name top_bench))
     names
 
 (* ------------------------------------------------------------------ *)
@@ -502,16 +472,11 @@ let parallel_json ~fast () =
    LP-based worst-case bounds are recorded as a documented exclusion
    above the gate rather than run. *)
 let scale_json ~fast () =
-  let module Core = Tmest_core in
-  let module W = Tmest_core.Workspace in
-  let module Dataset = Tmest_traffic.Dataset in
   let module Spec = Tmest_traffic.Spec in
-  let module Mat = Tmest_linalg.Mat in
   let sizes = if fast then [ 12; 25; 60 ] else [ 25; 100; 250; 500 ] in
   let methods = Core.Estimator.all_names () in
   let window = 8 in
   let pool = Pool.default () in
-  let failures = ref [] in
   (* Iteration-count regression guard: entropy and bayes at 100 PoPs
      (the tentpole size) must stay below pinned ceilings, so a solver
      change that quietly blows up the iteration count fails CI rather
@@ -532,14 +497,21 @@ let scale_json ~fast () =
       ("mcmc_int", 150);
     ]
   in
-  let guard_results = ref [] in
-  let rows =
+  (* One size's dataset, workspace, busy-midpoint index and loads, and
+     busy-window samples. *)
+  let setup pops =
+    let d = Dataset.synthetic ~pops () in
+    let ws = Workspace.create ~pool d.Dataset.routing in
+    let spec = d.Dataset.spec in
+    let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
+    (d, ws, k, Dataset.link_loads_at d k, Dataset.busy_load_samples d ~window)
+  in
+  let sweep =
     List.concat_map
       (fun pops ->
         let t0 = Unix.gettimeofday () in
-        let d = Dataset.synthetic ~pops () in
-        let ws = W.create ~pool d.Dataset.routing in
-        let sparse = W.is_sparse ws in
+        let d, ws, k, loads, load_samples = setup pops in
+        let sparse = Workspace.is_sparse ws in
         let pairs = Dataset.num_pairs d in
         let links = Dataset.num_links d in
         Printf.printf "# %d PoPs: %d pairs, %d links, %s mode (built in \
@@ -547,170 +519,118 @@ let scale_json ~fast () =
           pops pairs links
           (if sparse then "sparse" else "dense")
           (Unix.gettimeofday () -. t0);
-        let spec = d.Dataset.spec in
-        let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
-        let loads = Dataset.link_loads_at d k in
+        (* Computed once per size: a per-method [demand_at] copy raised
+           the process-wide heap peak this sweep asserts on by up to
+           1.5 M words at 60 PoPs. *)
         let truth = Dataset.demand_at d k in
         let busy_mean = Dataset.busy_mean_demand d in
-        let ks = Array.of_list (Dataset.busy_samples d) in
-        let ks = Array.sub ks (Array.length ks - window) window in
-        let load_samples =
-          Mat.init window links (fun i j -> (Dataset.link_loads_at d ks.(i)).(j))
-        in
-        let out =
-          List.map
-            (fun name ->
-              if
-                (* The shared capability predicate — same split the
-                   registry, the CLI and the daemon consult. *)
-                not
-                  ((not sparse)
-                  || Core.Estimator.supports_sparse
-                       (Core.Estimator.of_name name))
-              then begin
-                Printf.printf "%4d %-8s excluded (dense-only)\n%!" pops name;
-                (pops, pairs, links, sparse, name,
-                 `Excluded
-                   "LP-based worst-case bounds need a dense simplex \
-                    tableau per demand; dense-only by design")
-              end
-              else begin
-                let m = Core.Estimator.of_name name in
-                W.reset_stats ws;
-                let t0 = Unix.gettimeofday () in
-                let estimate =
-                  Core.Estimator.solve m ws ~loads ~load_samples
-                in
-                let seconds = Unix.gettimeofday () -. t0 in
-                let st = W.stats ws in
-                let iters = W.last_iterations ws ~name in
-                let reference =
-                  if Core.Estimator.uses_time_series m then busy_mean
-                  else truth
-                in
-                let mre = Core.Metrics.mre ~truth:reference ~estimate () in
-                Printf.printf
-                  "%4d %-8s %8.2fs  mre %6.4f  iters %5s  churn %.2e w  \
-                   heap %.2e w\n%!"
-                  pops name seconds mre
-                  (match iters with Some n -> string_of_int n | None -> "-")
-                  st.W.peak_solve_words st.W.heap_words;
-                (pops, pairs, links, sparse, name,
-                 `Ok
-                   (seconds, mre, st.W.peak_solve_words, st.W.heap_words,
-                    iters))
-              end)
-            methods
-        in
         (* The dense-matrix witness for this size. *)
-        if sparse then begin
-          let budget = float_of_int pairs *. float_of_int pairs /. 2. in
-          List.iter
-            (fun (_, _, _, _, name, r) ->
-              match r with
-              | `Ok (_, _, _, heap, _) when heap >= budget ->
-                  failures :=
-                    Printf.sprintf
-                      "%d pops/%s: heap watermark %.2e words >= pairs^2/2 \
-                       = %.2e"
-                      pops name heap budget
-                    :: !failures
-              | _ -> ())
-            out
-        end;
-        out)
+        let budget = float_of_int pairs *. float_of_int pairs /. 2. in
+        List.map
+          (fun name ->
+            let m = Core.Estimator.of_name name in
+            let row =
+              [ ("pops", int pops); ("pairs", int pairs); ("links", int links);
+                ("mode", str (if sparse then "sparse" else "dense"));
+                ("method", str name) ]
+            in
+            (* The shared capability predicate — same split the
+               registry, the CLI and the daemon consult. *)
+            if sparse && not (Core.Estimator.supports_sparse m) then begin
+              Printf.printf "%4d %-8s excluded (dense-only)\n%!" pops name;
+              Json.Obj
+                (row
+                @ [
+                    ("status", str "excluded");
+                    ( "why",
+                      str
+                        "LP-based worst-case bounds need a dense simplex \
+                         tableau per demand; dense-only by design" );
+                  ])
+            end
+            else begin
+              Workspace.reset_stats ws;
+              let t0 = Unix.gettimeofday () in
+              let estimate = Core.Estimator.solve m ws ~loads ~load_samples in
+              let seconds = Unix.gettimeofday () -. t0 in
+              let st = Workspace.stats ws in
+              let iters = Workspace.last_iterations ws ~name in
+              let reference =
+                if Core.Estimator.uses_time_series m then busy_mean else truth
+              in
+              let mre = Core.Metrics.mre ~truth:reference ~estimate () in
+              Printf.printf
+                "%4d %-8s %8.2fs  mre %6.4f  iters %5s  churn %.2e w  \
+                 heap %.2e w\n%!"
+                pops name seconds mre
+                (match iters with Some n -> string_of_int n | None -> "-")
+                st.Workspace.peak_solve_words st.Workspace.heap_words;
+              if sparse then
+                check (st.Workspace.heap_words < budget)
+                  "%d pops/%s: heap watermark %.2e words >= pairs^2/2 = %.2e"
+                  pops name st.Workspace.heap_words budget;
+              Json.Obj
+                (row
+                @ [
+                    ("status", str "ok");
+                    ("seconds", Json.Num seconds);
+                    ("mre", Json.Num mre);
+                    ("solve_words", Json.Num st.Workspace.peak_solve_words);
+                    ("heap_words", Json.Num st.Workspace.heap_words);
+                  ]
+                @
+                match iters with
+                | Some n -> [ ("iterations", int n) ]
+                | None -> [])
+            end)
+          methods)
       sizes
   in
   (* The iteration guard runs its own solves (the fast sizes do not
      include 100 PoPs) so CI and the full sweep apply the identical
      check. *)
-  (let t0 = Unix.gettimeofday () in
-   let d = Dataset.synthetic ~pops:guard_pops () in
-   let ws = W.create ~pool d.Dataset.routing in
-   let spec = d.Dataset.spec in
-   let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
-   let loads = Dataset.link_loads_at d k in
-   let links = Dataset.num_links d in
-   let ks = Array.of_list (Dataset.busy_samples d) in
-   let ks = Array.sub ks (Array.length ks - window) window in
-   let load_samples =
-     Mat.init window links (fun i j -> (Dataset.link_loads_at d ks.(i)).(j))
-   in
-   List.iter
-     (fun (name, ceiling) ->
-       let m = Core.Estimator.of_name name in
-       ignore (Core.Estimator.solve m ws ~loads ~load_samples);
-       let iters =
-         match W.last_iterations ws ~name with Some n -> n | None -> 0
-       in
-       guard_results := (name, iters, ceiling) :: !guard_results;
-       if iters > ceiling then
-         failures :=
-           Printf.sprintf
-             "%d pops/%s: %d iterations exceed the pinned ceiling %d"
-             guard_pops name iters ceiling
-           :: !failures)
-     guard_ceilings;
-   Printf.printf "# iteration guard at %d PoPs: %s (%.1fs)\n%!" guard_pops
-     (String.concat ", "
-        (List.rev_map
-           (fun (name, iters, ceiling) ->
-             Printf.sprintf "%s %d/%d" name iters ceiling)
-           !guard_results))
-     (Unix.gettimeofday () -. t0));
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (provenance ~jobs:(Pool.size pool));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"mode\": %S,\n  \"sparse_gate\": %d,\n  \"window\": %d,\n\
-       \  \"assert\": \"sparse sizes keep the GC heap watermark below \
-        pairs^2/2 words\",\n\
-       \  \"assert_ok\": %b,\n"
-       (if fast then "fast" else "full")
-       Tmest_core.Workspace.sparse_gate window (!failures = []));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"iteration_guard\": {\"pops\": %d, %s},\n" guard_pops
-       (String.concat ", "
-          (List.rev_map
-             (fun (name, iters, ceiling) ->
-               Printf.sprintf "%S: {\"iterations\": %d, \"ceiling\": %d}"
-                 name iters ceiling)
-             !guard_results)));
-  Buffer.add_string buf "  \"sweep\": [\n";
-  List.iteri
-    (fun i (pops, pairs, links, sparse, name, r) ->
-      let body =
-        match r with
-        | `Ok (seconds, mre, churn, heap, iters) ->
-            Printf.sprintf
-              "\"status\": \"ok\", \"seconds\": %.3f, \"mre\": %.6f, \
-               \"solve_words\": %.3e, \"heap_words\": %.3e%s"
-              seconds mre churn heap
-              (match iters with
-              | Some n -> Printf.sprintf ", \"iterations\": %d" n
-              | None -> "")
-        | `Excluded why -> Printf.sprintf "\"status\": \"excluded\", \"why\": %S" why
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"pops\": %d, \"pairs\": %d, \"links\": %d, \"mode\": \
-            %S, \"method\": %S, %s}%s\n"
-           pops pairs links
-           (if sparse then "sparse" else "dense")
-           name body
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_scale.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "scale assertion FAILED: %s\n") !failures;
-    exit 1
-  end
+  let t0 = Unix.gettimeofday () in
+  let _, ws, _, loads, load_samples = setup guard_pops in
+  let guard =
+    List.map
+      (fun (name, ceiling) ->
+        let m = Core.Estimator.of_name name in
+        ignore (Core.Estimator.solve m ws ~loads ~load_samples);
+        let iters =
+          Option.value ~default:0 (Workspace.last_iterations ws ~name)
+        in
+        check (iters <= ceiling)
+          "%d pops/%s: %d iterations exceed the pinned ceiling %d" guard_pops
+          name iters ceiling;
+        (name, iters, ceiling))
+      guard_ceilings
+  in
+  Printf.printf "# iteration guard at %d PoPs: %s (%.1fs)\n%!" guard_pops
+    (String.concat ", "
+       (List.map
+          (fun (name, iters, ceiling) ->
+            Printf.sprintf "%s %d/%d" name iters ceiling)
+          guard))
+    (Unix.gettimeofday () -. t0);
+  emit ~fast ~name:"scale" ~jobs:(Pool.size pool)
+    [
+      ("mode", mode ~fast); ("sparse_gate", int Workspace.sparse_gate);
+      ("window", int window);
+      ( "assert",
+        str "sparse sizes keep the GC heap watermark below pairs^2/2 words" );
+      ("assert_ok", Json.Bool (!failures = []));
+      ( "iteration_guard",
+        Json.Obj
+          (("pops", int guard_pops)
+          :: List.map
+               (fun (name, iters, ceiling) ->
+                 ( name,
+                   Json.Obj
+                     [ ("iterations", int iters); ("ceiling", int ceiling) ] ))
+               guard) );
+      ("sweep", Json.List sweep);
+    ];
+  finish ~label:"scale"
 
 (* ------------------------------------------------------------------ *)
 (* Day-replay throughput sweep (BENCH_throughput.json)                 *)
@@ -723,9 +643,12 @@ let scale_json ~fast () =
    proportional fitting ("kruithof"): the deployment-grade estimator
    whose per-window cost is low enough that scheduling and measurement
    overheads actually show (an entropy replay would hide any dispatch
-   regression behind seconds of solver time).  Each jobs row re-times
-   the identical replay on the same primed workspace, so the sweep
-   isolates the runtime from cache-construction effects.
+   regression behind seconds of solver time).  Each jobs row times the
+   identical replay with [time_ns] on its own freshly created pool: the
+   timer's warm-up primes the shared workspace artifacts and that
+   pool's per-domain arenas, so every row times the steady-state loop.
+   The rows run one after another, never with two pools alive: idle
+   domains join every minor GC and would slow the row being timed.
 
    The jobs=2 >= 1.2x jobs=1 windows/sec assertion only applies when
    the box has at least 2 cores; a 1-core container still runs the
@@ -733,15 +656,7 @@ let scale_json ~fast () =
    warning instead of failing on numbers that only measure scheduler
    churn. *)
 let throughput_json ~fast () =
-  let module Core = Tmest_core in
-  let module Workspace = Tmest_core.Workspace in
-  let module Dataset = Tmest_traffic.Dataset in
-  let cores = Domain.recommended_domain_count () in
-  let oversubscribed = cores = 1 in
-  if oversubscribed then
-    Printf.eprintf
-      "warning: only 1 core available — jobs > 1 rows are oversubscribed \
-       and their windows/sec are not meaningful\n%!";
+  let oversubscribed = oversubscribed ~what:"windows/sec" in
   let jobs_list = [ 1; 2; 4; 8 ] in
   let sizes = if fast then [ 12; 25 ] else [ 25; 100 ] in
   let windows = if fast then 24 else 288 in
@@ -749,7 +664,7 @@ let throughput_json ~fast () =
   let method_name = "kruithof" in
   let est = Core.Estimator.of_name method_name in
   let ctx = Ctx.create ~fast:true ~jobs:1 () in
-  let failures = ref [] in
+  let replay = Ctx.Scan.make (Ctx.Scan.Replay { window; windows }) in
   let sweep =
     List.concat_map
       (fun pops ->
@@ -758,86 +673,50 @@ let throughput_json ~fast () =
         let links = Dataset.num_links net.Ctx.dataset in
         Printf.printf "# %d PoPs: %d pairs, %d links, %d windows\n%!" pops
           pairs links windows;
-        (* Prime the shared workspace artifacts once, so every jobs row
-           times the steady-state estimation loop rather than paying
-           first-touch cache construction in whichever row runs first. *)
-        ignore
-          (Ctx.Scan.run net est
-             (Ctx.Scan.make (Ctx.Scan.Replay { window; windows = 1 })));
         let rows =
           List.map
             (fun jobs ->
               let pool = Pool.create ~jobs in
               Workspace.set_pool net.Ctx.workspace (Some pool);
-              let t0 = Unix.gettimeofday () in
-              ignore
-                (Ctx.Scan.run net est
-                   (Ctx.Scan.make (Ctx.Scan.Replay { window; windows })));
-              let seconds = Unix.gettimeofday () -. t0 in
+              let seconds =
+                time_ns (fun () -> Ctx.Scan.run net est replay) /. 1e9
+              in
               Workspace.set_pool net.Ctx.workspace None;
               Pool.shutdown pool;
               let wps = float_of_int windows /. seconds in
               Printf.printf "%4d PoPs  jobs %d  %7.2fs  %8.1f windows/sec\n%!"
                 pops jobs seconds wps;
-              (pops, pairs, links, jobs, seconds, wps))
+              ( (jobs, wps),
+                Json.Obj
+                  [ ("pops", int pops); ("pairs", int pairs);
+                    ("links", int links); ("jobs", int jobs);
+                    ("seconds", Json.Num seconds);
+                    ("windows_per_sec", Json.Num wps) ] ))
             jobs_list
         in
         (* Speedup floor, asserted only where a speedup can exist. *)
-        if cores >= 2 then begin
-          let wps_at j =
-            let (_, _, _, _, _, w) =
-              List.find (fun (_, _, _, jobs, _, _) -> jobs = j) rows
-            in
-            w
-          in
-          let ratio = wps_at 2 /. wps_at 1 in
-          if ratio < 1.2 then
-            failures :=
-              Printf.sprintf
-                "%d pops: jobs=2 windows/sec only %.2fx jobs=1 (floor 1.2x)"
-                pops ratio
-              :: !failures
+        if not oversubscribed then begin
+          let wps = List.map fst rows in
+          let ratio = List.assoc 2 wps /. List.assoc 1 wps in
+          check (ratio >= 1.2)
+            "%d pops: jobs=2 windows/sec only %.2fx jobs=1 (floor 1.2x)" pops
+            ratio
         end;
-        rows)
+        List.map snd rows)
       sizes
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (provenance ~jobs:(List.fold_left Stdlib.max 1 jobs_list));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"oversubscribed\": %b,\n" oversubscribed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"mode\": %S,\n  \"method\": %S,\n  \"window\": %d,\n\
-       \  \"windows\": %d,\n"
-       (if fast then "fast" else "full")
-       method_name window windows);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"assert\": \"jobs=2 windows/sec >= 1.2x jobs=1 (skipped when \
-        cores = 1)\",\n\
-       \  \"assert_skipped\": %b,\n  \"assert_ok\": %b,\n"
-       (cores < 2) (!failures = []));
-  Buffer.add_string buf "  \"sweep\": [\n";
-  List.iteri
-    (fun i (pops, pairs, links, jobs, seconds, wps) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"pops\": %d, \"pairs\": %d, \"links\": %d, \"jobs\": %d, \
-            \"seconds\": %.3f, \"windows_per_sec\": %.2f}%s\n"
-           pops pairs links jobs seconds wps
-           (if i = List.length sweep - 1 then "" else ",")))
-    sweep;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_throughput.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "throughput assertion FAILED: %s\n") !failures;
-    exit 1
-  end
+  emit ~fast ~name:"throughput" ~jobs:(List.fold_left Stdlib.max 1 jobs_list)
+    [
+      ("oversubscribed", Json.Bool oversubscribed); ("mode", mode ~fast);
+      ("method", str method_name); ("window", int window);
+      ("windows", int windows);
+      ( "assert",
+        str "jobs=2 windows/sec >= 1.2x jobs=1 (skipped when cores = 1)" );
+      ("assert_skipped", Json.Bool oversubscribed);
+      ("assert_ok", Json.Bool (!failures = []));
+      ("sweep", Json.List sweep);
+    ];
+  finish ~label:"throughput"
 
 (* ------------------------------------------------------------------ *)
 (* Streaming-daemon day replay (BENCH_daemon.json)                     *)
@@ -862,8 +741,6 @@ let throughput_json ~fast () =
 
    No tick may abort. *)
 let daemon_json ~fast () =
-  let module Core = Tmest_core in
-  let module Dataset = Tmest_traffic.Dataset in
   let module Collect = Tmest_snmp.Collect in
   let module Daemon = Tmest_daemon.Daemon in
   let sizes = if fast then [ 12; 25 ] else [ 25; 100 ] in
@@ -887,7 +764,6 @@ let daemon_json ~fast () =
   let stream =
     { Collect.default_config with Collect.jitter_s = 0.; loss_prob = 0. }
   in
-  let failures = ref [] in
   let rows =
     List.map
       (fun pops ->
@@ -900,10 +776,8 @@ let daemon_json ~fast () =
           Daemon.config ~window ~ticks ~stream ~scenario ~est ()
         in
         let r = Daemon.run ~pool cfg d in
-        if r.Daemon.aborted > 0 then
-          failures :=
-            Printf.sprintf "%d pops: %d ticks aborted" pops r.Daemon.aborted
-            :: !failures;
+        check (r.Daemon.aborted = 0) "%d pops: %d ticks aborted" pops
+          r.Daemon.aborted;
         (* Clean-prefix bit-identity: replay the recovered rows of the
            pre-fault ticks through the batch scan and compare the
            full-window estimates bitwise. *)
@@ -915,117 +789,87 @@ let daemon_json ~fast () =
           Ctx.Scan.run net est
             (Ctx.Scan.make (Ctx.Scan.Windows { window; loads = rows_loads }))
         in
-        let identical = ref 0 in
-        List.iter
-          (fun (k, batch_est) ->
-            (* The scan labels each step with [start + window - 1] — the
-               daemon tick whose window it replays. *)
-            let daemon_est = prefix.(k).Daemon.estimate in
-            let same =
-              Array.length batch_est = Array.length daemon_est
-              && (let ok = ref true in
-                  Array.iteri
-                    (fun j v ->
-                      if
-                        Int64.bits_of_float v
-                        <> Int64.bits_of_float daemon_est.(j)
-                      then ok := false)
-                    batch_est;
-                  !ok)
-            in
-            if same then incr identical
-            else
-              failures :=
-                Printf.sprintf
-                  "%d pops: tick %d estimate differs from the batch scan" pops
-                  k
-                :: !failures)
-          batch;
+        let identical =
+          List.length
+            (List.filter
+               (fun (k, batch_est) ->
+                 (* The scan labels each step with [start + window - 1] —
+                    the daemon tick whose window it replays. *)
+                 let daemon_est = prefix.(k).Daemon.estimate in
+                 let same =
+                   Array.length batch_est = Array.length daemon_est
+                   && Array.for_all2
+                        (fun a b ->
+                          Int64.bits_of_float a = Int64.bits_of_float b)
+                        batch_est daemon_est
+                 in
+                 check same
+                   "%d pops: tick %d estimate differs from the batch scan" pops
+                   k;
+                 same)
+               batch)
+        in
         let checked = List.length batch in
         Printf.printf "  clean prefix: %d/%d full-window ticks bit-identical \
                        to the batch scan\n%!"
-          !identical checked;
+          identical checked;
         (* Faulted ticks: repaired estimate plus a non-clean health
            record on every poller-dropout tick. *)
         Array.iter
           (fun (t : Daemon.tick_record) ->
             if t.Daemon.tick >= drop_from && t.Daemon.tick <= drop_from + 1
             then begin
-              if t.Daemon.missing = 0 then
-                failures :=
-                  Printf.sprintf "%d pops: dropout tick %d lost no polls" pops
-                    t.Daemon.tick
-                  :: !failures;
+              check (t.Daemon.missing <> 0)
+                "%d pops: dropout tick %d lost no polls" pops t.Daemon.tick;
               match t.Daemon.health with
               | Some h when not h.Core.Degrade.clean ->
-                  if not (Array.for_all Float.is_finite t.Daemon.estimate)
-                  then
-                    failures :=
-                      Printf.sprintf
-                        "%d pops: dropout tick %d estimate not finite" pops
-                        t.Daemon.tick
-                      :: !failures
+                  check
+                    (Array.for_all Float.is_finite t.Daemon.estimate)
+                    "%d pops: dropout tick %d estimate not finite" pops
+                    t.Daemon.tick
               | _ ->
-                  failures :=
-                    Printf.sprintf
-                      "%d pops: dropout tick %d has no non-clean health \
-                       record"
-                      pops t.Daemon.tick
-                    :: !failures
+                  check false
+                    "%d pops: dropout tick %d has no non-clean health record"
+                    pops t.Daemon.tick
             end)
           records;
         Printf.printf
           "%4d PoPs  %8.1f ticks/s  p50 %.2f ms  p99 %.2f ms  %d epochs\n%!"
           pops r.Daemon.ticks_per_sec r.Daemon.p50_ms r.Daemon.p99_ms
           r.Daemon.epochs;
-        (pops, pairs, links, r, !identical, checked))
+        Json.Obj
+          [ ("pops", int pops); ("pairs", int pairs); ("links", int links);
+            ("ticks", int r.Daemon.ticks); ("aborted", int r.Daemon.aborted);
+            ("epochs", int r.Daemon.epochs);
+            ("ticks_per_sec", Json.Num r.Daemon.ticks_per_sec);
+            ("p50_ms", Json.Num r.Daemon.p50_ms);
+            ("p99_ms", Json.Num r.Daemon.p99_ms);
+            ("polls_lost", int r.Daemon.polls_lost);
+            ("identical_prefix_ticks", int identical);
+            ("checked_prefix_ticks", int checked) ])
       sizes
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (provenance ~jobs:(Pool.size pool));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"mode\": %S,\n  \"method\": %S,\n  \"window\": %d,\n\
-       \  \"ticks\": %d,\n"
-       (if fast then "fast" else "full")
-       method_name window ticks);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scenario\": {\"flap_link\": [0, %d, %d], \"drop_poller\": [1, \
-        %d, %d]},\n"
-       flap_from (flap_from + 2) drop_from (drop_from + 1));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"assert\": \"no aborted ticks; clean full-window prefix ticks \
-        bit-identical to the batch scan; dropout ticks repaired with \
-        non-clean health records\",\n\
-       \  \"assert_ok\": %b,\n"
-       (!failures = []));
-  Buffer.add_string buf "  \"sweep\": [\n";
-  List.iteri
-    (fun i (pops, pairs, links, (r : Daemon.result), identical, checked) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"pops\": %d, \"pairs\": %d, \"links\": %d, \"ticks\": %d, \
-            \"aborted\": %d, \"epochs\": %d, \"ticks_per_sec\": %.2f, \
-            \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"polls_lost\": %d, \
-            \"identical_prefix_ticks\": %d, \"checked_prefix_ticks\": %d}%s\n"
-           pops pairs links r.Daemon.ticks r.Daemon.aborted r.Daemon.epochs
-           r.Daemon.ticks_per_sec r.Daemon.p50_ms r.Daemon.p99_ms
-           r.Daemon.polls_lost identical checked
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_daemon.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
-  if !failures <> [] then begin
-    List.iter (Printf.eprintf "daemon assertion FAILED: %s\n") !failures;
-    exit 1
-  end
+  emit ~fast ~name:"daemon" ~jobs:(Pool.size pool)
+    [
+      ("mode", mode ~fast); ("method", str method_name);
+      ("window", int window); ("ticks", int ticks);
+      ( "scenario",
+        Json.Obj
+          [
+            ( "flap_link",
+              Json.List (List.map int [ 0; flap_from; flap_from + 2 ]) );
+            ( "drop_poller",
+              Json.List (List.map int [ 1; drop_from; drop_from + 1 ]) );
+          ] );
+      ( "assert",
+        str
+          "no aborted ticks; clean full-window prefix ticks bit-identical to \
+           the batch scan; dropout ticks repaired with non-clean health \
+           records" );
+      ("assert_ok", Json.Bool (!failures = []));
+      ("sweep", Json.List rows);
+    ];
+  finish ~label:"daemon"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel performance suite                                          *)
@@ -1033,8 +877,6 @@ let daemon_json ~fast () =
 
 let kernel_tests () =
   let open Bechamel in
-  let module Mat = Tmest_linalg.Mat in
-  let module Vec = Tmest_linalg.Vec in
   let module Csr = Tmest_linalg.Csr in
   let rng = Tmest_stats.Rng.create 11 in
   let mat n m = Mat.init n m (fun _ _ -> Tmest_stats.Rng.float rng) in
@@ -1043,11 +885,9 @@ let kernel_tests () =
   let v200 = Array.init 200 (fun _ -> Tmest_stats.Rng.float rng) in
   let spd = Mat.add (Mat.gram (mat 120 120)) (Mat.identity 120) in
   let rhs = Array.init 120 (fun _ -> Tmest_stats.Rng.float rng) in
-  let eu = Tmest_traffic.Dataset.europe () in
-  let r_eu = eu.Tmest_traffic.Dataset.routing in
-  let demand =
-    Tmest_traffic.Dataset.demand_at eu 229
-  in
+  let eu = Dataset.europe () in
+  let r_eu = eu.Dataset.routing in
+  let demand = Dataset.demand_at eu 229 in
   let w200 = Array.init 200 (fun _ -> Tmest_stats.Rng.float rng) in
   let dst200 = Vec.zeros 200 in
   let dst_mv = Vec.zeros 200 in
@@ -1118,48 +958,17 @@ let pool_tests () =
            Pool.iter_grained pool ~n:64 ~cost:1_000_000 (fun ~lo:_ ~hi:_ -> ())));
   ]
 
-(* Full fixed-iteration solves on a 200-dim SPD quadratic with
+(* Full fixed-iteration solves of the [quadratic_solvers] with
    preallocated scratch: the allocation column should read ~0 words/run
    beyond the one result copy. *)
 let solver_tests () =
   let open Bechamel in
-  let module Mat = Tmest_linalg.Mat in
-  let module Vec = Tmest_linalg.Vec in
-  let module Fista = Tmest_opt.Fista in
-  let module Proxgrad = Tmest_opt.Proxgrad in
-  let module Cg = Tmest_opt.Cg in
-  let rng = Tmest_stats.Rng.create 23 in
-  let dim = 200 in
-  let a =
-    Mat.add
-      (Mat.gram (Mat.init dim dim (fun _ _ -> Tmest_stats.Rng.float rng)))
-      (Mat.identity dim)
-  in
-  let b = Array.init dim (fun _ -> Tmest_stats.Rng.float rng) in
-  let lip = Fista.lipschitz_of_gram a in
-  let gradient_into x ~dst =
-    Mat.matvec_into a x ~dst;
-    Vec.sub_into dst b ~dst
-  in
-  let fista_scratch = Array.init Fista.scratch_size (fun _ -> Vec.zeros dim) in
-  let pg_scratch = Array.init Proxgrad.scratch_size (fun _ -> Vec.zeros dim) in
-  let cg_scratch = Array.init Cg.scratch_size (fun _ -> Vec.zeros dim) in
-  let prior = Vec.ones dim in
   let stop64 = Tmest_opt.Stop.make ~max_iter:64 ~tol:0. () in
-  [
-    Test.make ~name:"fista200.solve_into_x64" (Staged.stage (fun () ->
-        Fista.solve_into ~stop:stop64 ~scratch:fista_scratch ~dim
-          ~gradient_into ~lipschitz:lip ()));
-    Test.make ~name:"proxgrad200.solve_into_x64" (Staged.stage (fun () ->
-        Proxgrad.solve_into ~stop:stop64 ~scratch:pg_scratch ~dim
-          ~gradient_into
-          ~prox_into:(Proxgrad.kl_prox_into ~weight:0.1 ~prior)
-          ~lipschitz:lip ()));
-    Test.make ~name:"cg200.solve_into_x64" (Staged.stage (fun () ->
-        Cg.solve_into ~stop:stop64 ~scratch:cg_scratch
-          ~apply_into:(fun v ~dst -> Mat.matvec_into a v ~dst)
-          ~b ()));
-  ]
+  List.map
+    (fun (name, solve) ->
+      Test.make ~name:(name ^ "200.solve_into_x64")
+        (Staged.stage (fun () -> solve stop64)))
+    (quadratic_solvers ())
 
 let experiment_tests () =
   let open Bechamel in
@@ -1250,25 +1059,14 @@ let () =
   let daemon = ref false in
   let only = ref None in
   let list = ref false in
+  let switches =
+    [ ("--fast", fast); ("--perf", perf); ("--scale", scale);
+      ("--throughput", throughput); ("--daemon", daemon); ("--list", list) ]
+  in
   let rec parse = function
     | [] -> ()
-    | "--fast" :: rest ->
-        fast := true;
-        parse rest
-    | "--perf" :: rest ->
-        perf := true;
-        parse rest
-    | "--scale" :: rest ->
-        scale := true;
-        parse rest
-    | "--throughput" :: rest ->
-        throughput := true;
-        parse rest
-    | "--daemon" :: rest ->
-        daemon := true;
-        parse rest
-    | "--list" :: rest ->
-        list := true;
+    | switch :: rest when List.mem_assoc switch switches ->
+        List.assoc switch switches := true;
         parse rest
     | "--only" :: ids :: rest ->
         only := Some (String.split_on_char ',' ids);
@@ -1297,7 +1095,6 @@ let () =
   else if !throughput then throughput_json ~fast:!fast ()
   else if !scale then scale_json ~fast:!fast ()
   else if !perf then begin
-    if not !fast then workspace_json ();
     solvers_json ~fast:!fast ();
     parallel_json ~fast:!fast ();
     run_perf ~fast:!fast ()

@@ -27,13 +27,7 @@ let () =
   let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
   let loads = Dataset.link_loads_at d k in
   let truth = Dataset.demand_at d k in
-  let window = 8 in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let load_samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
+  let load_samples = Dataset.busy_load_samples d ~window:8 in
   let prior = Core.Estimator.prior Core.Estimator.Prior_gravity ws ~loads in
   let stop = Stop.make ~max_iter () in
   let kinds =

@@ -222,13 +222,10 @@ let estimate_cmd =
     let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
     let truth = Dataset.demand_at d k in
     let loads = Dataset.link_loads_at d k in
-    let ks = Array.of_list (Dataset.busy_samples d) in
-    let w = Stdlib.min (Stdlib.max window 2) (Array.length ks) in
-    let ks = Array.sub ks (Array.length ks - w) w in
     let load_samples =
-      Mat.init w (Dataset.num_links d) (fun i j ->
-          (Dataset.link_loads_at d ks.(i)).(j))
+      Dataset.busy_load_samples d ~window:(Stdlib.max window 2)
     in
+    let w = Mat.rows load_samples in
     let m =
       match Core.Estimator.of_name method_name with
       | Core.Estimator.Entropy { prior; _ } ->
@@ -522,12 +519,8 @@ let faults_cmd =
     let truth = Dataset.demand_at d k in
     let busy_truth = Dataset.busy_mean_demand d in
     let clean_loads = Dataset.link_loads_at d k in
-    let ks = Array.of_list (Dataset.busy_samples d) in
-    let w = Stdlib.min (Stdlib.max window 2) (Array.length ks) in
-    let ks = Array.sub ks (Array.length ks - w) w in
     let clean_samples =
-      Mat.init w (Dataset.num_links d) (fun i j ->
-          (Dataset.link_loads_at d ks.(i)).(j))
+      Dataset.busy_load_samples d ~window:(Stdlib.max window 2)
     in
     let dirty_loads = Inject.loads fault ~loads:clean_loads in
     let dirty_samples = Inject.samples fault clean_samples in

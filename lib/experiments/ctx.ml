@@ -127,16 +127,7 @@ module Scan = struct
   let make ?(opts = Options.default) ?tag ?pool ?on_window source =
     { source; opts; tag; pool; on_window }
 
-  let samples net ~window =
-    let d = net.dataset in
-    let ks = Array.of_list (Dataset.busy_samples d) in
-    let window = Stdlib.min window (Array.length ks) in
-    let ks = Array.sub ks (Array.length ks - window) window in
-    (* One load extraction (CSR matvec) per row, blitted wholesale —
-       never one extraction per matrix element. *)
-    let m = Mat.zeros window (Dataset.num_links d) in
-    Array.iteri (fun i k -> Mat.set_row m i (Dataset.link_loads_at d k)) ks;
-    m
+  let samples net ~window = Dataset.busy_load_samples net.dataset ~window
 
   (* One engine for every source.  A source compiles down to a hoisted
      array of per-snapshot load vectors (each extracted once — one CSR

@@ -128,10 +128,10 @@ module Scan : sig
     source ->
     t
 
-  (** [samples net ~window] is the [window x L] matrix of the last
-      [window] busy-period link-load samples (the batch counterpart of
-      a {!source}'s window assembly, for callers that feed
-      [Estimator.solve] directly). *)
+  (** [samples net ~window] is {!Tmest_traffic.Dataset.busy_load_samples}
+      of the network's dataset (the batch counterpart of a {!source}'s
+      window assembly, for callers that feed [Estimator.solve]
+      directly). *)
   val samples : network -> window:int -> Tmest_linalg.Mat.t
 
   (** [run net est t] executes the scan: snapshot methods see each

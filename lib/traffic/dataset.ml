@@ -103,6 +103,16 @@ let demand_at t k = Mat.row t.truth.Demand_gen.demands k
 let link_loads_at t k = Routing.link_loads t.routing (demand_at t k)
 let busy_samples t = busy_samples_of_spec t.spec
 
+let busy_load_samples t ~window =
+  let ks = Array.of_list (busy_samples t) in
+  let window = Stdlib.min window (Array.length ks) in
+  let ks = Array.sub ks (Array.length ks - window) window in
+  (* One load extraction (CSR matvec) per row, blitted wholesale —
+     never one extraction per matrix element. *)
+  let m = Mat.zeros window (num_links t) in
+  Array.iteri (fun i k -> Mat.set_row m i (link_loads_at t k)) ks;
+  m
+
 let busy_mean_demand t =
   let busy = busy_samples t in
   let p = num_pairs t in

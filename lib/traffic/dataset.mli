@@ -47,6 +47,12 @@ val link_loads_at : t -> int -> Tmest_linalg.Vec.t
     busy period. *)
 val busy_samples : t -> int list
 
+(** [busy_load_samples t ~window] is the [window x L] matrix of link
+    loads at the last [window] busy-period samples, oldest first
+    ([window] is clamped to the busy-period length).  Each row is one
+    {!link_loads_at}. *)
+val busy_load_samples : t -> window:int -> Tmest_linalg.Mat.t
+
 (** [busy_mean_demand t] is the mean demand vector over the busy
     period — the reference value of the time-series evaluations. *)
 val busy_mean_demand : t -> Tmest_linalg.Vec.t

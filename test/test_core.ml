@@ -16,13 +16,6 @@ let busy_snapshot d =
   let k = d.Dataset.spec.Spec.busy_start + (d.Dataset.spec.Spec.busy_len / 2) in
   (Dataset.demand_at d k, Dataset.link_loads_at d k)
 
-let busy_load_matrix d window =
-  let busy = Dataset.busy_samples d in
-  let ks = Array.of_list busy in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let l = Dataset.num_links d in
-  Mat.init window l (fun i j -> (Dataset.link_loads_at d ks.(i)).(j))
-
 (* Method modules take a solver workspace; the tests build a throwaway
    one per call, which is exactly the historical per-call behaviour. *)
 let ws_of d = Workspace.create d.Dataset.routing
@@ -356,7 +349,7 @@ let test_wcb_exact_null_space_slack () =
 
 let test_fanout_rows_sum_to_one () =
   let d = Lazy.force small in
-  let samples = busy_load_matrix d 5 in
+  let samples = Dataset.busy_load_samples d ~window:5 in
   let r = Fanout.estimate (ws_of d) ~load_samples:samples in
   let n = Dataset.num_nodes d in
   for src = 0 to n - 1 do
@@ -402,7 +395,7 @@ let test_fanout_recovers_constant_fanouts () =
 let test_fanout_estimate_reasonable () =
   let d = Lazy.force small in
   let window = 10 in
-  let samples = busy_load_matrix d window in
+  let samples = Dataset.busy_load_samples d ~window in
   let r = Fanout.estimate (ws_of d) ~load_samples:samples in
   let truth = Dataset.busy_mean_demand d in
   let mre = Metrics.mre ~truth ~estimate:r.Fanout.estimate () in
@@ -436,7 +429,7 @@ let test_vardi_first_moment_consistent () =
   (* As sigma_inv2 -> 0 the estimator reduces to non-negative least
      squares on the first moment, so the mean residual must vanish. *)
   let d = Lazy.force small in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let r =
     Vardi.estimate (ws_of d) ~load_samples:samples ~sigma_inv2:1e-9
   in
@@ -450,7 +443,7 @@ let test_vardi_strong_poisson_faith_hurts_mean_fit () =
      covariance term dominates and drags the estimate away from the
      measured means — the failure mode of Section 5.3.4. *)
   let d = Lazy.force small in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let weak =
     Vardi.estimate (ws_of d) ~load_samples:samples ~sigma_inv2:1e-9
   in
@@ -465,7 +458,7 @@ let test_vardi_strong_poisson_faith_hurts_mean_fit () =
 
 let test_cao_reduces_objective () =
   let d = Lazy.force small in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let r =
     Cao.estimate (ws_of d) ~load_samples:samples ~phi:1. ~c:1.5
       ~sigma_inv2:0.01
@@ -477,7 +470,7 @@ let test_cao_reduces_objective () =
 
 let test_cao_matches_vardi_at_c1 () =
   let d = Lazy.force small in
-  let samples = busy_load_matrix d 15 in
+  let samples = Dataset.busy_load_samples d ~window:15 in
   let v =
     Vardi.estimate (ws_of d) ~load_samples:samples ~sigma_inv2:0.5
   in
@@ -735,7 +728,7 @@ let test_estimator_rejects_unknown () =
 let test_estimator_run_all () =
   let d = Lazy.force small in
   let truth, loads = busy_snapshot d in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   List.iter
     (fun name ->
       let est =

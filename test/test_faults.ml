@@ -17,12 +17,6 @@ let dataset = lazy (Dataset.generate small_spec)
 
 let snapshot d = d.Dataset.spec.Spec.busy_start + (d.Dataset.spec.Spec.busy_len / 2)
 
-let busy_window d w =
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let ks = Array.sub ks (Array.length ks - w) w in
-  Mat.init w (Dataset.num_links d) (fun i j ->
-      (Dataset.link_loads_at d ks.(i)).(j))
-
 let bits_equal u v =
   Array.length u = Array.length v
   && Array.for_all2
@@ -46,7 +40,7 @@ let test_inject_deterministic () =
          Int64.bits_of_float x = Int64.bits_of_float y)
        a b);
   (* Corrupting a window first must not change the snapshot streams. *)
-  let samples = busy_window d 6 in
+  let samples = Dataset.busy_load_samples d ~window:6 in
   ignore (Inject.samples spec samples);
   let c = Inject.loads spec ~loads in
   Alcotest.(check bool) "snapshot independent of window corruption" true
@@ -59,7 +53,7 @@ let test_inject_deterministic () =
 let test_inject_none_physical () =
   let d = Lazy.force dataset in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 4 in
+  let samples = Dataset.busy_load_samples d ~window:4 in
   Alcotest.(check bool) "loads physical" true
     (Inject.loads Inject.none ~loads == loads);
   Alcotest.(check bool) "samples physical" true
@@ -132,7 +126,7 @@ let test_clean_repair_physical () =
   let d = Lazy.force dataset in
   let ws = Core.Workspace.create d.Dataset.routing in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 6 in
+  let samples = Dataset.busy_load_samples d ~window:6 in
   let r = Core.Degrade.repair Core.Degrade.default ws ~loads ~samples () in
   Alcotest.(check bool) "clean flag" true r.Core.Degrade.health.Core.Degrade.clean;
   Alcotest.(check bool) "loads physical" true (r.Core.Degrade.loads == loads);
@@ -143,7 +137,7 @@ let test_degraded_solve_bit_identical () =
   let d = Lazy.force dataset in
   let ws = Core.Workspace.create d.Dataset.routing in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 8 in
+  let samples = Dataset.busy_load_samples d ~window:8 in
   let opts = Core.Estimator.Options.make ~degrade:Core.Degrade.default () in
   List.iter
     (fun name ->
@@ -163,7 +157,7 @@ let test_drop_imputation_beats_zero_fill () =
   let ws = Core.Workspace.create d.Dataset.routing in
   let truth = Dataset.demand_at d (snapshot d) in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 8 in
+  let samples = Dataset.busy_load_samples d ~window:8 in
   let spec = Inject.make ~seed:17 ~drop_prob:0.15 () in
   let dirty = Inject.loads spec ~loads in
   Alcotest.(check bool) "something was dropped" true
@@ -211,7 +205,7 @@ let test_window_fill () =
   let d = Lazy.force dataset in
   let ws = Core.Workspace.create d.Dataset.routing in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 6 in
+  let samples = Dataset.busy_load_samples d ~window:6 in
   let holed = Mat.copy samples in
   Mat.set holed 0 3 Float.nan;
   Mat.set holed 3 5 Float.nan;
@@ -244,7 +238,7 @@ let test_window_fill_through_solve () =
   let d = Lazy.force dataset in
   let ws = Core.Workspace.create d.Dataset.routing in
   let loads = Dataset.link_loads_at d (snapshot d) in
-  let samples = busy_window d 8 in
+  let samples = Dataset.busy_load_samples d ~window:8 in
   let holed = Mat.copy samples in
   Mat.set holed 0 2 Float.nan;
   Mat.set holed 4 2 Float.nan;

@@ -39,13 +39,7 @@ let solve_all ~jobs =
   let truth = Dataset.demand_at d k in
   let busy_truth = Dataset.busy_mean_demand d in
   let loads = Dataset.link_loads_at d k in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let window = 10 in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
+  let samples = Dataset.busy_load_samples d ~window:10 in
   List.map
     (fun name ->
       let m = Core.Estimator.of_name name in
@@ -111,13 +105,7 @@ let sparse_vs_dense ~jobs () =
   let truth = Dataset.demand_at d k in
   let busy_truth = Dataset.busy_mean_demand d in
   let loads = Dataset.link_loads_at d k in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let window = 10 in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
+  let samples = Dataset.busy_load_samples d ~window:10 in
   let dense = Core.Workspace.create ~pool d.Dataset.routing in
   let sparse =
     Core.Workspace.create ~pool ~mode:Core.Workspace.Sparse d.Dataset.routing

@@ -108,13 +108,7 @@ let prop_snmp_recovery =
 let prop_fanout_stochastic =
   prop "fanout rows are distributions" 5 (fun seed ->
       let d = dataset_of_seed seed in
-      let ks = Array.of_list (Dataset.busy_samples d) in
-      let window = 5 in
-      let ks = Array.sub ks (Array.length ks - window) window in
-      let loads =
-        Mat.init window (Dataset.num_links d) (fun i j ->
-            (Dataset.link_loads_at d ks.(i)).(j))
-      in
+      let loads = Dataset.busy_load_samples d ~window:5 in
       let r =
         Fanout.estimate
           (Tmest_core.Workspace.create d.Dataset.routing)

@@ -44,13 +44,7 @@ let inputs d =
   let spec = d.Dataset.spec in
   let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
   let loads = Dataset.link_loads_at d k in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
-  (loads, samples)
+  (loads, Dataset.busy_load_samples d ~window)
 
 let solve ?opts ?pool ?mode m d =
   let ws = Core.Workspace.create ?pool ?mode d.Dataset.routing in

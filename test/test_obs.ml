@@ -24,14 +24,7 @@ let small = lazy (Dataset.generate small_spec)
 let busy_inputs d =
   let k = d.Dataset.spec.Spec.busy_start + (d.Dataset.spec.Spec.busy_len / 2) in
   let loads = Dataset.link_loads_at d k in
-  let window = 10 in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
-  (loads, samples)
+  (loads, Dataset.busy_load_samples d ~window:10)
 
 (* Every method, solved once against a workspace wired to [sink]. *)
 let solve_all ~sink =

@@ -67,14 +67,7 @@ let europe_problem () =
   let d = Dataset.europe () in
   let spec = d.Dataset.spec in
   let k = spec.Spec.busy_start + (spec.Spec.busy_len / 2) in
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let window = 10 in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  let samples =
-    Mat.init window (Dataset.num_links d) (fun i j ->
-        (Dataset.link_loads_at d ks.(i)).(j))
-  in
-  (d, k, Dataset.link_loads_at d k, samples)
+  (d, k, Dataset.link_loads_at d k, Dataset.busy_load_samples d ~window:10)
 
 (* [Precond_auto] pinned bit for bit against the explicit kinds it
    must resolve to: Jacobi for the quadratic solvers on a sparse

@@ -16,12 +16,6 @@ let busy_snapshot d =
   let k = d.Dataset.spec.Spec.busy_start + (d.Dataset.spec.Spec.busy_len / 2) in
   (Dataset.demand_at d k, Dataset.link_loads_at d k)
 
-let busy_load_matrix d window =
-  let ks = Array.of_list (Dataset.busy_samples d) in
-  let ks = Array.sub ks (Array.length ks - window) window in
-  Mat.init window (Dataset.num_links d) (fun i j ->
-      (Dataset.link_loads_at d ks.(i)).(j))
-
 (* ------------------------------------------------------------------ *)
 (* Shared vs fresh workspace: bit-identical                            *)
 (* ------------------------------------------------------------------ *)
@@ -32,7 +26,7 @@ let test_solve_ws_bit_identical () =
      are computed, never the values. *)
   let d = Lazy.force small in
   let _, loads = busy_snapshot d in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let ws = Workspace.create d.Dataset.routing in
   List.iter
     (fun name ->
@@ -55,7 +49,7 @@ let test_solve_ws_bit_identical_warm () =
      solve) must still reproduce the fresh-workspace result exactly. *)
   let d = Lazy.force small in
   let _, loads = busy_snapshot d in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let ws = Workspace.create d.Dataset.routing in
   let names = Estimator.all_names () in
   List.iter
@@ -159,7 +153,7 @@ let test_stats_hits_on_second_access () =
 let test_solve_counter_increments () =
   let d = Lazy.force small in
   let _, loads = busy_snapshot d in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let ws = Workspace.create d.Dataset.routing in
   ignore
     (Estimator.solve (Estimator.of_name "entropy") ws ~loads
@@ -176,7 +170,7 @@ let test_prior_cache_hits_across_methods () =
      must hit the lipschitz cache. *)
   let d = Lazy.force small in
   let _, loads = busy_snapshot d in
-  let samples = busy_load_matrix d 20 in
+  let samples = Dataset.busy_load_samples d ~window:20 in
   let ws = Workspace.create d.Dataset.routing in
   ignore
     (Estimator.solve (Estimator.of_name "entropy") ws ~loads
